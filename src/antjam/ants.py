@@ -166,6 +166,46 @@ def _weight(
     return base**params.alpha * (1.0 / distance[(node, u)]) ** params.beta
 
 
+def _normalize(weights: Sequence[float]) -> list[float] | None:
+    """weights / their sum, in order; None when the sum is not positive."""
+    total = sum(weights)
+    if total <= 0.0:
+        return None
+    return [w / total for w in weights]
+
+
+def _roulette(probabilities: Sequence[float], rng: Random) -> int:
+    """Index drawn by roulette wheel from a normalized probability list.
+
+    The draw r picks the first index whose running sum exceeds r. When the
+    sum rounds to just under r, the last index with a positive probability
+    wins, so a zero-probability entry is never drawn.
+    """
+    total = sum(probabilities)
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    r = rng.random()
+    acc = 0.0
+    fallback = 0
+    for k, p in enumerate(probabilities):
+        acc += p
+        if r < acc:
+            return k
+        if p > 0.0:
+            fallback = k
+    return fallback
+
+
+def _argmax(weights: Sequence[float]) -> int | None:
+    """Index of the largest positive weight, lowest index on ties."""
+    best_k = None
+    best_w = 0.0
+    for k, w in enumerate(weights):
+        if w > best_w:
+            best_k, best_w = k, w
+    return best_k
+
+
 def transition_probabilities(
     node: int,
     candidates: Sequence[int],
@@ -179,32 +219,21 @@ def transition_probabilities(
     Weight of candidate u is (pheromone * quality)^alpha * (1/distance)^beta.
     Raises DeadEnd when every weight is zero.
     """
-    weights = {
-        u: _weight(node, u, pheromone, quality, distance, params)
-        for u in sorted(candidates)
-    }
-    total = sum(weights.values())
-    if total <= 0.0:
+    ordered = sorted(candidates)
+    probs = _normalize(
+        [_weight(node, u, pheromone, quality, distance, params) for u in ordered]
+    )
+    if probs is None:
         raise DeadEnd(f"no live candidate out of node {node}")
-    return {u: w / total for u, w in weights.items()}
+    return dict(zip(ordered, probs))
 
 
 def choose_next_explorer(probabilities: Mapping[int, float], rng: Random) -> int:
     """Roulette-wheel draw from a normalized probability table."""
     if not probabilities:
         raise DeadEnd("empty probability table")
-    total = sum(probabilities.values())
-    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    r = rng.random()
-    acc = 0.0
-    last = None
-    for u, p in probabilities.items():
-        acc += p
-        last = u
-        if r < acc:
-            return u
-    return last  # guard against the sum rounding just under 1.0
+    ids = list(probabilities)
+    return ids[_roulette(list(probabilities.values()), rng)]
 
 
 def choose_next_exploiter(
@@ -216,15 +245,130 @@ def choose_next_exploiter(
     params: SearchParams,
 ) -> int:
     """Greedy next hop: the best-weighted candidate, lowest id on ties."""
-    best_u = None
-    best_w = 0.0
-    for u in sorted(candidates):
-        w = _weight(node, u, pheromone, quality, distance, params)
-        if w > best_w:
-            best_u, best_w = u, w
-    if best_u is None:
+    ordered = sorted(candidates)
+    k = _argmax(
+        [_weight(node, u, pheromone, quality, distance, params) for u in ordered]
+    )
+    if k is None:
         raise DeadEnd(f"no live candidate out of node {node}")
-    return best_u
+    return ordered[k]
+
+
+def _check_endpoints(net: Network, source: int, dest: int) -> None:
+    if source == dest:
+        raise ValueError("source and destination must differ")
+    for endpoint in (source, dest):
+        if not net.node(endpoint).alive:
+            raise ValueError(f"node {endpoint} is dead")
+
+
+class _Walk:
+    """The one tour walker: ants from source to dest over rows built lazily.
+
+    A node's row holds its live neighbors with quality > 0 in id order, with
+    each link's quality and (1/distance)^beta; it is built when an ant first
+    reaches the node. The row's weights are the _weight values under the
+    current pheromone; they are built on the first visit in a round and hold
+    for the rest of it, since pheromone only changes in the batch update
+    between rounds. new_round drops them, and must follow every update.
+    """
+
+    def __init__(
+        self,
+        net: Network,
+        source: int,
+        dest: int,
+        quality: Mapping[tuple[int, int], float],
+        pheromone: Mapping[tuple[int, int], float] | PheromoneTable,
+        params: SearchParams,
+    ):
+        self.net = net
+        self.source = source
+        self.dest = dest
+        self.quality = quality
+        self.pheromone = pheromone
+        self.alpha = params.alpha
+        self.beta = params.beta
+        self.rows: dict[int, tuple[list[int], list[float], list[float]]] = {}
+        self.weights: dict[int, tuple[list[int], list[float]]] = {}
+        # the first exploiter's walk this round: tour, tabu, distance, record
+        self.greedy: tuple | None = None
+
+    def new_round(self) -> None:
+        self.weights = {}
+        self.greedy = None
+
+    def _row(self, node: int) -> tuple[list[int], list[float], list[float]]:
+        quality, distance, beta = self.quality, self.net.distance, self.beta
+        ids = [
+            u
+            for u in sorted(self.net.neighbors(node))
+            if quality.get((node, u), 0.0) > 0.0
+        ]
+        row = (
+            ids,
+            [quality[(node, u)] for u in ids],
+            [(1.0 / distance[(node, u)]) ** beta for u in ids],
+        )
+        self.rows[node] = row
+        return row
+
+    def _weights(self, node: int) -> tuple[list[int], list[float]]:
+        ids, quals, inv_d_beta = self.rows.get(node) or self._row(node)
+        pheromone, alpha = self.pheromone, self.alpha
+        weights = []
+        for u, q, d in zip(ids, quals, inv_d_beta):
+            base = pheromone[(node, u)] * q
+            # the rule of _weight, with (1/distance)^beta taken from the row
+            weights.append(base**alpha * d if base != 0.0 else 0.0)
+        self.weights[node] = entry = (ids, weights)
+        return entry
+
+    def tour(self, ant: Ant, rng: Random) -> TourRecord | None:
+        """Walk one ant from source toward dest, never revisiting a node.
+
+        Returns None when the ant dead-ends. The ant keeps its partial tour,
+        tabu list and distance either way.
+        """
+        if ant.colony is Colony.EXPLORER:
+            return self._walk(ant, rng, explorer=True)
+        # An exploiter's walk reads neither its rng nor its own state, so
+        # every exploiter in a round walks the first one's tour.
+        if self.greedy is None:
+            record = self._walk(ant, rng, explorer=False)
+            self.greedy = (tuple(ant.tour), tuple(ant.tabu), ant.distance, record)
+            return record
+        tour, tabu, walked, record = self.greedy
+        ant.tour, ant.tabu, ant.distance = list(tour), list(tabu), walked
+        return record
+
+    def _walk(self, ant: Ant, rng: Random, explorer: bool) -> TourRecord | None:
+        source, dest = self.source, self.dest
+        nodes, distance = self.net.nodes, self.net.distance
+        round_weights, new_weights = self.weights, self._weights
+        ant.reset()
+        tour, tabu = ant.tour, ant.tabu
+        tour.append(source)
+        tabu.append((source, nodes[source].energy))
+        visited = {source}
+        current = source
+        while current != dest:
+            ids, weights = round_weights.get(current) or new_weights(current)
+            keep = [k for k, u in enumerate(ids) if u not in visited]
+            if explorer:
+                probs = _normalize([weights[k] for k in keep])
+                k = None if probs is None else _roulette(probs, rng)
+            else:
+                k = _argmax([weights[k] for k in keep])
+            if k is None:
+                return None
+            nxt = ids[keep[k]]
+            tour.append(nxt)
+            tabu.append((nxt, nodes[nxt].energy))
+            ant.distance += distance[(current, nxt)]
+            visited.add(nxt)
+            current = nxt
+        return TourRecord(tuple(tour), ant.distance, tour_quality(tour, self.quality))
 
 
 def construct_tour(
@@ -243,42 +387,38 @@ def construct_tour(
     outcome). The ant keeps its partial tour and tabu list either way; the
     tabu list records each visited node with its energy at visit time.
     """
-    if source == dest:
-        raise ValueError("source and destination must differ")
-    for endpoint in (source, dest):
-        if not net.node(endpoint).alive:
-            raise ValueError(f"node {endpoint} is dead")
-    ant.reset()
-    ant.tour = [source]
-    ant.tabu = [(source, net.node(source).energy)]
-    visited = {source}
-    current = source
-    while current != dest:
-        candidates = [
-            u
-            for u in net.neighbors(current)
-            if u not in visited and quality.get((current, u), 0.0) > 0.0
-        ]
-        if not candidates:
-            return None
-        try:
-            if ant.colony is Colony.EXPLORER:
-                probs = transition_probabilities(
-                    current, candidates, pheromone, quality, net.distance, params
-                )
-                nxt = choose_next_explorer(probs, rng)
-            else:
-                nxt = choose_next_exploiter(
-                    current, candidates, pheromone, quality, net.distance, params
-                )
-        except DeadEnd:
-            return None
-        ant.tour.append(nxt)
-        ant.tabu.append((nxt, net.node(nxt).energy))
-        ant.distance += net.distance[(current, nxt)]
-        visited.add(nxt)
-        current = nxt
-    return TourRecord(tuple(ant.tour), ant.distance, tour_quality(ant.tour, quality))
+    _check_endpoints(net, source, dest)
+    return _Walk(net, source, dest, quality, pheromone, params).tour(ant, rng)
+
+
+def _pheromone_round(
+    values: dict[tuple[int, int], float],
+    tours: Sequence[TourRecord],
+    params: SearchParams,
+    untouched: float | None = None,
+) -> float | None:
+    """Decay every link in values, then deposit along each tour.
+
+    Each tour adds q / (distance * quality) to every directed link it used.
+    With untouched=None a link missing from values is an error; otherwise
+    untouched is the shared value of every link not in values, and it decays
+    too. Returns the decayed shared value.
+    """
+    for link in values:
+        values[link] *= params.rho
+    if untouched is not None:
+        untouched *= params.rho
+    for tour in tours:
+        if tour.distance <= 0.0 or tour.quality <= 0.0:
+            raise ValueError("tour with non-positive distance or quality")
+        deposit = params.q / (tour.distance * tour.quality)
+        for link in zip(tour.path, tour.path[1:]):
+            if link not in values:
+                if untouched is None:
+                    raise KeyError(f"tour uses unknown link {link}")
+                values[link] = untouched
+            values[link] += deposit
+    return untouched
 
 
 def global_pheromone_update(
@@ -288,17 +428,33 @@ def global_pheromone_update(
 
     Each tour adds q / (distance * quality) to every directed link it used.
     """
-    for link in pheromone.values:
-        pheromone.values[link] *= params.rho
-    for tour in tours:
-        if tour.distance <= 0.0 or tour.quality <= 0.0:
-            raise ValueError("tour with non-positive distance or quality")
-        deposit = params.q / (tour.distance * tour.quality)
-        for link in zip(tour.path, tour.path[1:]):
-            if link not in pheromone.values:
-                raise KeyError(f"tour uses unknown link {link}")
-            pheromone.values[link] += deposit
+    _pheromone_round(pheromone.values, tours, params)
     return pheromone
+
+
+class _SparsePheromone(dict):
+    """Pheromone of one search, holding only the links tours have used.
+
+    Every other link still holds the value all links started from, decayed
+    alike each round: one shared value, returned for any link not present.
+    """
+
+    def __init__(self, phi0: float):
+        if phi0 <= 0:
+            raise ValueError("phi0 must be positive")
+        super().__init__()
+        self.untouched = phi0
+
+    def __missing__(self, link: tuple[int, int]) -> float:
+        return self.untouched
+
+    def decay_and_deposit(
+        self, tours: Sequence[TourRecord], params: SearchParams
+    ) -> None:
+        self.untouched = _pheromone_round(self, tours, params, self.untouched)
+
+    def table(self, net: Network) -> PheromoneTable:
+        return PheromoneTable({link: self[link] for link in sorted(net.links)})
 
 
 def adapt_sensitivity(
@@ -379,16 +535,16 @@ def run_search(
     successful tours. The best tour by quality/distance across all iterations
     is returned; None when every ant failed every round (dest unreachable is
     data, not an error).
+
+    net and quality must not change while the search runs: each node's
+    candidate row is read from them once, when an ant first reaches it.
     """
-    if source == dest:
-        raise ValueError("source and destination must differ")
-    for endpoint in (source, dest):
-        if not net.node(endpoint).alive:
-            raise ValueError(f"node {endpoint} is dead")
+    _check_endpoints(net, source, dest)
     if quality is None:
         quality = {link: 1.0 for link in net.links}
 
-    pheromone = PheromoneTable.uniform(net, params.phi0)
+    pheromone = _SparsePheromone(params.phi0)
+    walk = _Walk(net, source, dest, quality, pheromone, params)
     ants = init_colonies(params, rng)
     token = rng.getrandbits(64)
     best: TourRecord | None = None
@@ -398,12 +554,11 @@ def run_search(
 
     for iteration in range(params.iterations):
         # construction phase; each ant on its own substream
+        walk.new_round()
         outcomes: list[tuple[Ant, TourRecord | None]] = []
         for ant in ants:
             sub = Random(f"{token}:{iteration}:{ant.id}")
-            record = construct_tour(
-                ant, source, dest, net, pheromone, quality, params, sub
-            )
+            record = walk.tour(ant, sub)
             outcomes.append((ant, record))
             for hop_from in ant.tour[:-1]:
                 transmit_counts[hop_from] = transmit_counts.get(hop_from, 0) + 1
@@ -422,7 +577,7 @@ def run_search(
             succeeded.append(record)
             scores.append(score)
 
-        global_pheromone_update(pheromone, succeeded, params)
+        pheromone.decay_and_deposit(succeeded, params)
         stats.append(
             IterationStats(
                 iteration=iteration,
@@ -434,4 +589,5 @@ def run_search(
             )
         )
 
-    return SearchResult(best, pheromone, stats, transmit_counts)
+    del walk  # drop the rows before the full table is built
+    return SearchResult(best, pheromone.table(net), stats, transmit_counts)

@@ -37,12 +37,13 @@ def _load_config(path: str) -> ScenarioConfig:
 
 
 def _worker_count() -> int:
+    """ANTJAM_WORKERS, clamped to [1, CPU count]; 1 when unset."""
     raw = os.environ.get("ANTJAM_WORKERS", "1")
     try:
         count = int(raw, 10)
     except ValueError:
         raise ValueError(f"ANTJAM_WORKERS must be an integer, got {raw!r}")
-    return max(1, count)
+    return max(1, min(count, os.cpu_count() or 1))
 
 
 def _run_one(job: tuple[ScenarioConfig, int]):

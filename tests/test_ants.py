@@ -165,6 +165,17 @@ class TestExplorerChoice:
         with pytest.raises(DeadEnd):
             choose_next_explorer({}, Random(0))
 
+    def test_rounding_fallback_skips_zero_probability(self):
+        # the sum passes validation but the running sum stops short of the
+        # largest possible draw; the zero-probability entry must not win
+        class TopDraw:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        probs = {1: 0.5, 2: 0.5 - 1e-12, 3: 0.0}
+        assert sum(probs.values()) < 1.0 - 2.0**-53
+        assert choose_next_explorer(probs, TopDraw()) == 2
+
 
 class TestExploiterChoice:
     def test_picks_best_weighted_candidate(self):

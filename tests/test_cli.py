@@ -3,7 +3,14 @@ import subprocess
 import sys
 from textwrap import dedent
 
-from antjam.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_seed_range, main
+from antjam.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    _parse_seed_range,
+    _worker_count,
+    main,
+)
 from antjam.config import parse_config
 from antjam.engine import run_scenario
 from antjam.reporting import COMPARE_COLUMNS, SWEEP_COLUMNS, report_json_bytes
@@ -134,6 +141,33 @@ class TestSweepCommand:
         main(["sweep", "--config", str(config_file), "--seeds", "0..3",
               "--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "raw, cpus, expected",
+        [
+            (None, 8, 1),
+            ("4", 8, 4),
+            ("64", 8, 8),
+            ("1000000", 2, 2),
+            ("3", None, 1),
+            ("0", 8, 1),
+            ("-5", 8, 1),
+        ],
+    )
+    def test_clamped_to_cpu_count(self, monkeypatch, raw, cpus, expected):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        if raw is None:
+            monkeypatch.delenv("ANTJAM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ANTJAM_WORKERS", raw)
+        assert _worker_count() == expected
+
+    def test_non_integer_rejected(self, monkeypatch):
+        monkeypatch.setenv("ANTJAM_WORKERS", "many")
+        with pytest.raises(ValueError):
+            _worker_count()
 
 
 class TestCompareCommand:

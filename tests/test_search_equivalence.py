@@ -1,0 +1,65 @@
+"""run_search against the original dict-based search in reference_search.py.
+
+The package's search reads pheromone, quality and distance through lazily
+built candidate rows, per-round weight caches and a sparse pheromone table.
+None of that may change a result: on generated small networks both searches
+must return equal best tours, iteration stats, transmit counts and final
+pheromone tables, item for item and in order.
+"""
+
+from datetime import timedelta
+from random import Random
+
+from hypothesis import given, settings, strategies as st
+
+import reference_search
+from antjam.ants import SearchParams, run_search
+from antjam.network import build_network
+
+
+@st.composite
+def search_cases(draw):
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(3, 9))
+    radio_range = draw(st.sampled_from([1.0, 1.5, 2.5]))
+    specs = [
+        ((rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)), 10.0, radio_range)
+        for _ in range(count)
+    ]
+    net = build_network(specs, count - 1)
+    source, dest = 0, count - 1
+
+    quality = None
+    if draw(st.booleans()):
+        zero_share = draw(st.sampled_from([0.0, 0.2, 0.5]))
+        quality = {
+            link: 0.0 if rng.random() < zero_share else rng.uniform(0.05, 1.0)
+            for link in sorted(net.links)
+        }
+    if count > 3 and draw(st.booleans()):
+        # the quality table keeps the dead node's stale links on purpose
+        net.drain_energy(draw(st.integers(1, count - 2)), 10.0)
+
+    n_explorers = draw(st.integers(0, 4))
+    params = SearchParams(
+        q=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        rho=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        alpha=draw(st.sampled_from([0.0, 1.0, 2.0])),
+        beta=draw(st.sampled_from([0.0, 1.0, 2.0])),
+        n_explorers=n_explorers,
+        n_exploiters=draw(st.integers(0 if n_explorers else 1, 4)),
+        iterations=draw(st.integers(1, 6)),
+    )
+    return net, source, dest, params, quality, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(search_cases())
+def test_matches_reference_search(case):
+    net, source, dest, params, quality, seed = case
+    got = run_search(net, source, dest, params, Random(seed), quality)
+    want = reference_search.run_search(net, source, dest, params, Random(seed), quality)
+    assert got.best == want.best
+    assert got.stats == want.stats
+    assert got.transmit_counts == want.transmit_counts
+    assert list(got.pheromone.values.items()) == list(want.pheromone.values.items())
