@@ -138,6 +138,8 @@ class _Section:
         try:
             value = cast(text)
         except ValueError:
+            value = math.nan
+        if math.isnan(value):  # "nan" parses as a float but is not a number
             self.error(key, f"not a valid {kind_name}: {text!r}")
             return default
         if lo is not None and (value <= lo if lo_open else value < lo):
@@ -261,10 +263,13 @@ def _parse_explicit_network(sec: _Section) -> ExplicitNetworkSpec | None:
             sec.error("nodes", f"entry {idx}: expected x,y,energy,range")
             return None
         try:
-            x, y, energy, radio_range = (float(p) for p in parts)
+            values = [float(p) for p in parts]
         except ValueError:
+            values = [math.nan]
+        if any(math.isnan(v) for v in values):
             sec.error("nodes", f"entry {idx}: non-numeric field in {entry!r}")
             return None
+        x, y, energy, radio_range = values
         if energy <= 0:
             sec.error("nodes", f"entry {idx}: energy must be positive")
             return None

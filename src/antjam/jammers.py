@@ -37,13 +37,13 @@ class RadioParams:
     debounce: int = 1  # consecutive jammed steps before a node is flagged
 
     def __post_init__(self) -> None:
-        if self.floor <= 0:
+        if not self.floor > 0:
             raise ValueError("noise floor must be positive")
-        if self.tx_power <= 0:
+        if not self.tx_power > 0:
             raise ValueError("tx_power must be positive")
-        if self.d0 <= 0:
+        if not self.d0 > 0:
             raise ValueError("d0 must be positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
         if self.debounce < 1:
             raise ValueError("debounce must be >= 1")
@@ -84,7 +84,9 @@ class Jammer:
     _phase_end: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.power <= 0:
+        if any(math.isnan(c) for c in self.position):
+            raise ValueError("jammer position must not be NaN")
+        if not self.power > 0:
             raise ValueError("jammer power must be positive")
         for name, rng_ in (("sleep_steps", self.sleep_steps), ("jam_steps", self.jam_steps)):
             lo, hi = rng_
@@ -92,7 +94,7 @@ class Jammer:
                 raise ValueError(f"{name} must satisfy 1 <= lo <= hi")
         if self.start < 0:
             raise ValueError("start step must be >= 0")
-        if self.sense_range <= 0:
+        if not self.sense_range > 0:
             raise ValueError("sense_range must be positive")
 
     def reset(self) -> None:
@@ -153,6 +155,47 @@ def _jammer_active(jammer: Jammer, channel_active: bool | None) -> bool:
     return channel_active
 
 
+def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
+    """Path gain from `position` to every node, cached on the network."""
+    key = (position, radio.d0, radio.gamma)
+    row = net._gain_rows.get(key)
+    if row is None:
+        row = {
+            i: path_gain(euclidean_distance(position, n.position), radio.d0, radio.gamma)
+            for i, n in net.nodes.items()
+        }
+        net._gain_rows[key] = row
+    return row
+
+
+def _emitting(
+    net: Network,
+    jammers: Iterable[Jammer],
+    t: int,
+    radio: RadioParams,
+    rng: Random,
+    channel_active: bool | None,
+) -> list[tuple[float, dict[int, float]]]:
+    """(emission, gain row) of every jammer emitting at step t, in jammer order.
+
+    Each jammer's emission is evaluated exactly once, so the random kind's
+    draws from a shared rng keep their order.
+    """
+    out = []
+    for jammer in jammers:
+        emitted = jammer_emission(jammer, t, _jammer_active(jammer, channel_active), rng)
+        if emitted > 0.0:
+            out.append((emitted, _gain_row(net, jammer.position, radio)))
+    return out
+
+
+def _noise(floor: float, emitting: list[tuple[float, dict[int, float]]], i: int) -> float:
+    total = floor
+    for emitted, row in emitting:
+        total += emitted * row[i]
+    return total
+
+
 def noise_at(
     net: Network,
     jammers: Iterable[Jammer],
@@ -167,14 +210,10 @@ def noise_at(
     channel_active=None reads each reactive jammer's own `triggered` state; a
     bool applies to all of them (handy in direct tests).
     """
-    pos = net.node(node_id).position
-    total = radio.floor
-    for jammer in jammers:
-        emitted = jammer_emission(jammer, t, _jammer_active(jammer, channel_active), rng)
-        if emitted > 0.0:
-            d = euclidean_distance(jammer.position, pos)
-            total += emitted * path_gain(d, radio.d0, radio.gamma)
-    return total
+    net.node(node_id)
+    return _noise(
+        radio.floor, _emitting(net, jammers, t, radio, rng, channel_active), node_id
+    )
 
 
 def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | None:
@@ -182,10 +221,9 @@ def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | 
 
     None when the node has no live neighbors (nothing to receive).
     """
-    nbrs = net.neighbors(node_id)
-    if not nbrs:
+    d = net.nearest_distance(node_id)
+    if d is None:
         return None
-    d = min(net.link_distance(node_id, n) for n in nbrs)
     return radio.tx_power * path_gain(d, radio.d0, radio.gamma)
 
 
@@ -197,15 +235,20 @@ def sample_radio(
     rng: Random,
     channel_active: bool | None = None,
 ) -> dict[int, RadioSample]:
-    """Per-node RadioSample for one step, for every live node that can hear a neighbor."""
-    jammers = list(jammers)
+    """Per-node RadioSample for one step, for every live node that can hear a neighbor.
+
+    Jammer emissions are evaluated on the first sampled node, and not at all
+    when no node is sampled.
+    """
+    emitting = None
     samples: dict[int, RadioSample] = {}
     for i in net.alive_ids():
         signal = reference_signal(net, i, radio)
         if signal is None:
             continue
-        noise = noise_at(net, jammers, i, t, radio, rng, channel_active)
-        samples[i] = RadioSample(signal, noise)
+        if emitting is None:
+            emitting = _emitting(net, jammers, t, radio, rng, channel_active)
+        samples[i] = RadioSample(signal, _noise(radio.floor, emitting, i))
     return samples
 
 
@@ -249,15 +292,10 @@ def deceptive_victims(
     ]
     if not deceptive:
         return set()
+    fakes = [(j.power, _gain_row(net, j.position, radio)) for j in deceptive]
     victims: set[int] = set()
     for i in net.alive_ids():
         signal = reference_signal(net, i, radio)
-        if signal is None:
-            continue
-        pos = net.node(i).position
-        for j in deceptive:
-            d = euclidean_distance(j.position, pos)
-            if j.power * path_gain(d, radio.d0, radio.gamma) >= signal:
-                victims.add(i)
-                break
+        if signal is not None and any(power * row[i] >= signal for power, row in fakes):
+            victims.add(i)
     return victims

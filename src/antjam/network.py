@@ -7,12 +7,19 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Position = tuple[float, float]
 
 # (position, initial energy, radio range)
 NodeSpec = tuple[Position, float, float]
+
+# The link build bins nodes on a grid with cells a hair wider than the largest
+# radio range, so that rounding in the cell index cannot put an in-range pair
+# two cells apart. Past _MAX_CELL_INDEX cells from the origin that rounding
+# could reach a whole cell, and the build compares every pair instead.
+_CELL_PAD = 1.0 + 2.0**-20
+_MAX_CELL_INDEX = 2.0**30
 
 
 class NodeRole(Enum):
@@ -39,9 +46,9 @@ class Node:
     def __post_init__(self) -> None:
         if not all(math.isfinite(c) for c in self.position):
             raise ValueError(f"node {self.id}: non-finite position")
-        if self.energy < 0:
+        if not self.energy >= 0:
             raise ValueError(f"node {self.id}: negative energy")
-        if self.radio_range <= 0:
+        if not self.radio_range > 0:
             raise ValueError(f"node {self.id}: radio range must be positive")
 
 
@@ -52,6 +59,11 @@ class Network:
     existence is mutual. Links are stored as directed pairs because pheromone
     and link metrics attach per direction. Dead nodes keep their Node record
     but lose every incident link, which removes them from all neighborhoods.
+
+    Positions never move after the build, so radio geometry is cached per
+    network: each node's nearest-live-neighbor distance (dropped around a
+    node when it dies) and the jammer-to-node path-gain rows that jammers.py
+    keeps in `_gain_rows` (never stale, since only positions enter them).
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -73,10 +85,35 @@ class Network:
         self.links: set[tuple[int, int]] = set()
         self.distance: dict[tuple[int, int], float] = {}
         self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
+        self._nearest: dict[int, float | None] = {}
+        self._gain_rows: dict[tuple[Position, float, float], dict[int, float]] = {}
+        self._build_links()
+
+    def _build_links(self) -> None:
+        """Link every mutually in-range pair, in ascending (a, b) order.
+
+        A link is never longer than the largest range, which is the side of
+        the grid cells, so each node is compared only with the higher ids in
+        its own cell and the 8 around it. Coincident nodes share a cell, so
+        the first pair found at distance 0 is the smallest such pair overall.
+        """
         ids = sorted(self.nodes)
-        for a_pos, a in enumerate(ids):
-            for b in ids[a_pos + 1 :]:
-                na, nb = self.nodes[a], self.nodes[b]
+        cell_of = _cell_index(self.nodes, ids)
+        members: dict[tuple[int, int], list[int]] = {}
+        for i in ids:
+            members.setdefault(cell_of[i], []).append(i)
+        for a in ids:
+            na = self.nodes[a]
+            cx, cy = cell_of[a]
+            nearby = sorted(
+                b
+                for dx in (-1, 0, 1)
+                for dy in (-1, 0, 1)
+                for b in members.get((cx + dx, cy + dy), ())
+                if b > a
+            )
+            for b in nearby:
+                nb = self.nodes[b]
                 d = euclidean_distance(na.position, nb.position)
                 if d == 0.0:
                     raise ValueError(
@@ -113,6 +150,17 @@ class Network:
         except KeyError:
             raise ValueError(f"no link between {i} and {j}") from None
 
+    def nearest_distance(self, i: int) -> float | None:
+        """Distance from i to its nearest live neighbor; None without one."""
+        try:
+            return self._nearest[i]
+        except KeyError:
+            pass
+        self.node(i)
+        d = min((self.distance[(i, j)] for j in self._adjacency[i]), default=None)
+        self._nearest[i] = d
+        return d
+
     def alive_ids(self) -> list[int]:
         return sorted(i for i, n in self.nodes.items() if n.alive)
 
@@ -140,13 +188,33 @@ class Network:
     def _kill(self, i: int) -> None:
         node = self.nodes[i]
         node.alive = False
+        self._nearest.pop(i, None)
         for j in list(self._adjacency[i]):
+            self._nearest.pop(j, None)
             self.links.discard((i, j))
             self.links.discard((j, i))
             self.distance.pop((i, j), None)
             self.distance.pop((j, i), None)
             self._adjacency[j].discard(i)
         self._adjacency[i].clear()
+
+
+def _cell_index(
+    nodes: Mapping[int, Node], ids: Sequence[int]
+) -> dict[int, tuple[int, int]]:
+    """Grid cell of each node, on cells as wide as the largest radio range.
+
+    Every node shares one cell when the grid cannot be exact: an infinite
+    largest range, or coordinates too far out in cell units.
+    """
+    size = max(nodes[i].radio_range for i in ids) * _CELL_PAD
+    if size < math.inf:
+        scaled = [
+            (nodes[i].position[0] / size, nodes[i].position[1] / size) for i in ids
+        ]
+        if all(abs(x) < _MAX_CELL_INDEX and abs(y) < _MAX_CELL_INDEX for x, y in scaled):
+            return {i: (math.floor(x), math.floor(y)) for i, (x, y) in zip(ids, scaled)}
+    return dict.fromkeys(ids, (0, 0))
 
 
 def build_network(node_specs: Sequence[NodeSpec], pe_index: int) -> Network:

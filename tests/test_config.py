@@ -306,6 +306,39 @@ class TestErrors:
         )
         assert any("entry 0" in reason for _, reason in errors)
 
+    def test_nan_numbers_rejected(self):
+        jammer = "\n[jammer]\nkind = constant\nx = {x}\ny = 0\npower = {power}\n"
+        cases = {
+            "network.range": MINIMAL.replace("range = 12", "range = nan"),
+            "jammer.x": MINIMAL + jammer.format(x="nan", power="0.1"),
+            "jammer.power": MINIMAL + jammer.format(x="0", power="NaN"),
+            "radio.gamma": MINIMAL + "\n[radio]\ngamma = nan\n",
+            "traffic.rate": MINIMAL + "\n[traffic]\nrate = nan\n",
+        }
+        for key, text in cases.items():
+            errors = errors_of(text)
+            assert len(errors) == 1, (key, errors)
+            assert errors[0][0] == key
+            assert errors[0][1].startswith("not a valid number: ")
+            assert "nan" in errors[0][1].lower()
+
+    def test_nan_explicit_node_rejected(self):
+        errors = errors_of(
+            "[network]\nlayout = explicit\nnodes = 0,0,100,nan; 1,1,100,5\n"
+        )
+        assert errors == [
+            ("network.nodes", "entry 0: non-numeric field in '0,0,100,nan'")
+        ]
+
+    def test_infinite_ranges_still_accepted(self):
+        cfg = parse_config(MINIMAL.replace("range = 12", "range = inf"))
+        assert cfg.network.radio_range == math.inf
+        cfg = parse_config(
+            MINIMAL + "\n[jammer]\nkind = reactive\nx = 0\ny = 0\n"
+            "power = 0.1\nsense_range = inf\n"
+        )
+        assert cfg.jammers[0].sense_range == math.inf
+
     def test_empty_sources_list(self):
         errors = errors_of(MINIMAL + "\n[traffic]\nsources =\n")
         assert ("traffic.sources", "empty list") in errors

@@ -330,6 +330,32 @@ class TestDeceptiveJammer:
         assert report.energy_spent[1] == 0.0
 
 
+class TestNextHopDrop:
+    """A packet whose next hop is flagged or dead is dropped without a send."""
+
+    def test_failed_send_spends_nothing_and_is_not_heard(self):
+        jams = (
+            JammerSpec(kind="constant", x=10.0, y=0.0, power=0.01),
+            # hears every transmission, too weak and far to flag anything
+            JammerSpec(kind="reactive", x=500.0, y=0.0, power=1e-9),
+        )
+        cfg = make_config(
+            LINE3, jammers=jams, duration=3, reroute=False, packet_energy_cost=1.0
+        )
+        sim = Simulation(cfg, seed=1)
+        sim.step()  # relay 1 is flagged; source 0 emits onto (0, 1, 2)
+        assert sim.state.flags == {1}
+        assert len(sim.state.packets) == 1
+        events = sim.step()
+        drops = [(e.node, e.detail) for e in events if e.kind == "drop"]
+        assert drops == [(1, "next hop jammed or dead")]
+        assert sim.net.node(0).energy == 100.0
+        assert sim.state.last_transmitters == set()
+        sim.step()
+        assert sim.jammers[1].triggered is False
+        assert sim.report().energy_spent[0] == 0.0
+
+
 class TestEnergyDeath:
     def test_exhausted_relay_kills_route(self):
         net = ExplicitNetworkSpec(

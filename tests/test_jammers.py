@@ -115,6 +115,20 @@ class TestEmission:
         with pytest.raises(ValueError):
             make_jammer(JammerKind.CONSTANT, start=-1)
 
+    def test_validation_rejects_nan(self):
+        with pytest.raises(ValueError, match="power must be positive"):
+            make_jammer(JammerKind.CONSTANT, power=math.nan)
+        with pytest.raises(ValueError, match="sense_range must be positive"):
+            make_jammer(JammerKind.REACTIVE, sense_range=math.nan)
+        with pytest.raises(ValueError, match="position must not be NaN"):
+            make_jammer(JammerKind.CONSTANT, position=(0.0, math.nan))
+        assert make_jammer(JammerKind.REACTIVE, sense_range=math.inf)
+
+    def test_radio_params_reject_nan(self):
+        for name in ("floor", "tx_power", "d0", "gamma"):
+            with pytest.raises(ValueError):
+                RadioParams(**{name: math.nan})
+
 
 class TestNoise:
     def net2(self):

@@ -83,6 +83,13 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             Node(0, (math.nan, 0.0), 1.0, 1.0)
 
+    def test_node_rejects_nan(self):
+        with pytest.raises(ValueError, match="negative energy"):
+            Node(0, (0.0, 0.0), math.nan, 1.0)
+        with pytest.raises(ValueError, match="radio range must be positive"):
+            Node(0, (0.0, 0.0), 1.0, math.nan)
+        assert Node(0, (0.0, 0.0), 1.0, math.inf).radio_range == math.inf
+
     def test_unknown_node_id(self, unit_square):
         with pytest.raises(ValueError, match="unknown node id"):
             unit_square.neighbors(99)
