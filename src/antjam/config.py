@@ -270,6 +270,9 @@ def _parse_explicit_network(sec: _Section) -> ExplicitNetworkSpec | None:
             sec.error("nodes", f"entry {idx}: non-numeric field in {entry!r}")
             return None
         x, y, energy, radio_range = values
+        if not (math.isfinite(x) and math.isfinite(y)):
+            sec.error("nodes", f"entry {idx}: coordinates must be finite")
+            return None
         if energy <= 0:
             sec.error("nodes", f"entry {idx}: energy must be positive")
             return None
@@ -292,6 +295,9 @@ def _parse_grid_network(sec: _Section) -> GridNetworkSpec | None:
     if rows * cols < 2:
         sec.error("rows", "grid needs at least two nodes")
         return None
+    if not math.isfinite(spacing * (max(rows, cols) - 1)):
+        sec.error("spacing", f"grid coordinates must be finite, got {spacing!r}")
+        return None
     pe = _parse_pe(sec, rows * cols)
     return GridNetworkSpec(rows, cols, spacing, radio_range, energy, pe)
 
@@ -299,8 +305,10 @@ def _parse_grid_network(sec: _Section) -> GridNetworkSpec | None:
 def _parse_random_network(sec: _Section) -> RandomNetworkSpec | None:
     count = sec.get_int("count", required=True, lo=2)
     radio_range = sec.get_float("range", required=True, lo=0, lo_open=True)
-    width = sec.get_float("width", default=100.0, lo=0, lo_open=True)
-    height = sec.get_float("height", default=100.0, lo=0, lo_open=True)
+    width = sec.get_float("width", default=100.0, lo=0, lo_open=True,
+                          hi=math.inf, hi_open=True)
+    height = sec.get_float("height", default=100.0, lo=0, lo_open=True,
+                           hi=math.inf, hi_open=True)
     energy = sec.get_float("energy", default=1e6, lo=0, lo_open=True)
     placement_seed = sec.get_int("placement_seed", default=None, lo=0)
     connected = sec.get_bool("connected", default=True)

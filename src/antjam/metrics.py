@@ -191,22 +191,50 @@ def build_link_metrics(
     flagged: frozenset[int] = frozenset(),
     bit_error: Mapping[tuple[int, int], float] | None = None,
 ) -> dict[tuple[int, int], LinkMetrics]:
-    """Measure every directed link once, sharing one hop-count sweep."""
+    """Measure every directed link, in ascending (i, j) order.
+
+    Apart from its counter and bit-error entries, a link (i, j) reads its
+    source only through `i in flagged`, so links without such entries share
+    one measurement per (j, i in flagged); links with an entry are measured
+    on their own. One hop-count sweep serves the whole table.
+    """
     if totals is None:
         totals = MetricTotals.for_network(net)
     hops = hop_counts(net, net.pe_id, blocked=flagged)
-    return {
-        (i, j): measure_link(
+    own = set(counters or ()) | set(bit_error or ())
+    shared: dict[tuple[int, bool], LinkMetrics] = {}
+    table: dict[tuple[int, int], LinkMetrics] = {}
+
+    def measure(i: int, j: int) -> LinkMetrics:
+        return measure_link(
             net, samples, i, j, counters, totals, flagged, hops, bit_error
         )
-        for (i, j) in sorted(net.links)
-    }
+
+    for i in sorted(net.nodes):
+        i_flagged = i in flagged
+        for j in sorted(net.neighbors(i)):
+            if (i, j) in own:
+                m = measure(i, j)
+            else:
+                m = shared.get((j, i_flagged))
+                if m is None:
+                    m = shared[(j, i_flagged)] = measure(i, j)
+            table[(i, j)] = m
+    return table
 
 
 def quality_from_metrics(
     table: Mapping[tuple[int, int], LinkMetrics],
 ) -> dict[tuple[int, int], float]:
-    return {link: link_quality(m) for link, m in table.items()}
+    """Quality of every link, scoring each shared LinkMetrics object once."""
+    scored: dict[int, float] = {}
+    quality: dict[tuple[int, int], float] = {}
+    for link, m in table.items():
+        q = scored.get(id(m))
+        if q is None:
+            q = scored[id(m)] = link_quality(m)
+        quality[link] = q
+    return quality
 
 
 def metrics_csv(table: Mapping[tuple[int, int], LinkMetrics]) -> str:

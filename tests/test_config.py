@@ -330,6 +330,26 @@ class TestErrors:
             ("network.nodes", "entry 0: non-numeric field in '0,0,100,nan'")
         ]
 
+    def test_infinite_explicit_coordinates_rejected(self):
+        errors = errors_of(
+            "[network]\nlayout = explicit\nnodes = 0,0,100,12; inf,0,100,12\n"
+        )
+        assert errors == [("network.nodes", "entry 1: coordinates must be finite")]
+
+    def test_infinite_grid_coordinates_rejected(self):
+        for spacing in ("inf", "1e308"):  # 1e308 overflows at the third column
+            text = MINIMAL.replace("cols = 2", "cols = 3") + f"spacing = {spacing}\n"
+            errors = errors_of(text)
+            assert len(errors) == 1, (spacing, errors)
+            assert errors[0][0] == "network.spacing"
+            assert "finite" in errors[0][1]
+
+    def test_infinite_random_area_rejected(self):
+        base = "[network]\nlayout = random\ncount = 4\nrange = 12\n"
+        for key in ("width", "height"):
+            errors = errors_of(base + f"{key} = inf\n")
+            assert errors == [(f"network.{key}", "must be < inf, got inf")]
+
     def test_infinite_ranges_still_accepted(self):
         cfg = parse_config(MINIMAL.replace("range = 12", "range = inf"))
         assert cfg.network.radio_range == math.inf

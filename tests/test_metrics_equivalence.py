@@ -1,0 +1,138 @@
+"""The shared-measurement quality table against reference_metrics.py.
+
+The package measures one LinkMetrics per (destination, flagged source) and
+measures a link on its own only when it has a counter or bit-error entry.
+None of that may change a result: on generated networks, while relays die
+and flags, samples, counters and bit-error tables change between builds,
+the metrics table and the quality table must equal the per-link original
+in order and bit for bit, and invalid entries must raise the same error.
+"""
+
+from datetime import timedelta
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_metrics as ref
+from antjam.jammers import RadioSample
+from antjam.metrics import (
+    LinkCounters,
+    MetricTotals,
+    build_link_metrics,
+    measure_link,
+    quality_from_metrics,
+)
+from antjam.network import build_network
+
+# attempts, delivered, lost: empty, partial and full delivery, plus a
+# counter whose delivered and lost do not add up to its attempts
+COUNTERS = [(0, 0, 0), (3, 1, 2), (4, 4, 0), (2, 0, 2), (5, 2, 1)]
+
+
+def counters_of(rng, links, bad):
+    counters = {
+        link: LinkCounters(*rng.choice(COUNTERS))
+        for link in links
+        if rng.random() < 0.3
+    }
+    counters[(98, 99)] = LinkCounters(1, 1, 0)  # a key that is no link
+    if bad and links:
+        counters[rng.choice(links)] = LinkCounters(2, 3, 0)  # delivered > attempts
+    return counters
+
+
+def bit_errors_of(rng, links, bad):
+    if rng.random() < 0.4:
+        return None
+    table = {link: rng.choice([0.0, 0.25, 1.0]) for link in links if rng.random() < 0.3}
+    if bad and links:
+        table[rng.choice(links)] = 1.5
+    return table
+
+
+@st.composite
+def metric_cases(draw):
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(2, 12))
+    spots = [(x * 0.5, y * 0.5) for x in range(-3, 4) for y in range(-3, 4)]
+    positions = rng.sample(spots, count)
+    radii = [rng.choice([0.5, 1.0, 1.5]) for _ in range(count)]
+    for i in rng.sample(range(count), draw(st.integers(0, 2))):
+        radii[i] = 0.25  # no other lattice point is this close: isolated
+    specs = [(pos, rng.choice([1.0, 2.0, 5.0]), r) for pos, r in zip(positions, radii)]
+    pe = rng.randrange(count)
+    builds = []
+    for _ in range(draw(st.integers(1, 4))):
+        drains = [
+            (rng.randrange(count), rng.choice([0.5, 1.0, 5.0]))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        flagged = frozenset(
+            rng.sample(range(count), draw(st.integers(0, min(count, 4))))
+        )
+        if draw(st.booleans()):
+            flagged |= {pe}
+        samples = {
+            i: RadioSample(rng.choice([0.0, 0.5, 3.0, 20.0]), rng.choice([0.5, 1.0]))
+            for i in range(count)
+            if rng.random() < 0.8
+        }
+        totals = draw(
+            st.sampled_from(
+                [None, MetricTotals(1.0, 1.0), MetricTotals(3.0, 2.0, 4.0),
+                 MetricTotals(20.0, 10.0, 25.0)]
+            )
+        )
+        bad = draw(st.sampled_from([None, None, None, "counter", "bit_error"]))
+        builds.append((drains, flagged, samples, totals, bad, rng.random()))
+    return specs, pe, builds
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(metric_cases())
+def test_matches_reference_metrics(case):
+    specs, pe, builds = case
+    net = build_network(specs, pe)
+    for drains, flagged, samples, totals, bad, seed in builds:
+        for i, amount in drains:
+            net.drain_energy(i, amount)
+        rng = Random(seed)
+        links = sorted(net.links)
+        counters = counters_of(rng, links, bad == "counter")
+        bit_error = bit_errors_of(rng, links, bad == "bit_error")
+        args = (net, samples, counters, totals, flagged, bit_error)
+        try:
+            want = ref.build_link_metrics(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                build_link_metrics(*args)
+            assert str(got.value) == str(exc)
+            continue
+        got = build_link_metrics(*args)
+        assert list(got.items()) == list(want.items())
+        assert list(quality_from_metrics(got).items()) == list(
+            ref.quality_from_metrics(want).items()
+        )
+
+
+@pytest.mark.parametrize(
+    "counters, bit_error",
+    [
+        ({(2, 1): LinkCounters(attempts=2, delivered=3, lost=0)}, None),
+        (None, {(2, 1): 1.5}),
+    ],
+    ids=["delivered-over-attempts", "bit-error-over-one"],
+)
+def test_invalid_entries_raise_like_measure_link(counters, bit_error):
+    # (0, 1) is measured first, so (2, 1) could reuse its measurement if
+    # the entry were ignored
+    net = build_network([((0.0, 0.0), 1.0, 1.5), ((1.0, 0.0), 1.0, 1.5),
+                         ((2.0, 0.0), 1.0, 1.5)], 0)
+    samples = {i: RadioSample(5.0, 1.0) for i in net.nodes}
+    with pytest.raises(ValueError) as want:
+        measure_link(net, samples, 2, 1, counters, bit_error=bit_error)
+    with pytest.raises(ValueError) as got:
+        build_link_metrics(net, samples, counters, bit_error=bit_error)
+    assert str(got.value) == str(want.value)
+    assert "outside" in str(got.value)
