@@ -46,8 +46,6 @@ class Ant:
     colony: Colony
     sensitivity: float
     tour: list[int] = field(default_factory=list)
-    # visited nodes paired with their energy at visit time
-    tabu: list[tuple[int, float]] = field(default_factory=list)
     distance: float = 0.0
 
     def __post_init__(self) -> None:
@@ -59,7 +57,6 @@ class Ant:
 
     def reset(self) -> None:
         self.tour = []
-        self.tabu = []
         self.distance = 0.0
 
 
@@ -291,7 +288,7 @@ class _Walk:
         self.beta = params.beta
         self.rows: dict[int, tuple[list[int], list[float], list[float]]] = {}
         self.weights: dict[int, tuple[list[int], list[float]]] = {}
-        # the first exploiter's walk this round: tour, tabu, distance, record
+        # the first exploiter's walk this round: tour, distance, record
         self.greedy: tuple | None = None
 
     def new_round(self) -> None:
@@ -327,8 +324,8 @@ class _Walk:
     def tour(self, ant: Ant, rng: Random) -> TourRecord | None:
         """Walk one ant from source toward dest, never revisiting a node.
 
-        Returns None when the ant dead-ends. The ant keeps its partial tour,
-        tabu list and distance either way.
+        Returns None when the ant dead-ends. The ant keeps its partial tour
+        and distance either way.
         """
         if ant.colony is Colony.EXPLORER:
             return self._walk(ant, rng, explorer=True)
@@ -336,20 +333,19 @@ class _Walk:
         # every exploiter in a round walks the first one's tour.
         if self.greedy is None:
             record = self._walk(ant, rng, explorer=False)
-            self.greedy = (tuple(ant.tour), tuple(ant.tabu), ant.distance, record)
+            self.greedy = (tuple(ant.tour), ant.distance, record)
             return record
-        tour, tabu, walked, record = self.greedy
-        ant.tour, ant.tabu, ant.distance = list(tour), list(tabu), walked
+        tour, walked, record = self.greedy
+        ant.tour, ant.distance = list(tour), walked
         return record
 
     def _walk(self, ant: Ant, rng: Random, explorer: bool) -> TourRecord | None:
         source, dest = self.source, self.dest
-        nodes, distance = self.net.nodes, self.net.distance
+        distance = self.net.distance
         round_weights, new_weights = self.weights, self._weights
         ant.reset()
-        tour, tabu = ant.tour, ant.tabu
+        tour = ant.tour
         tour.append(source)
-        tabu.append((source, nodes[source].energy))
         visited = {source}
         current = source
         while current != dest:
@@ -364,7 +360,6 @@ class _Walk:
                 return None
             nxt = ids[keep[k]]
             tour.append(nxt)
-            tabu.append((nxt, nodes[nxt].energy))
             ant.distance += distance[(current, nxt)]
             visited.add(nxt)
             current = nxt
@@ -384,8 +379,7 @@ def construct_tour(
     """Walk one ant from source toward dest, never revisiting a node.
 
     Returns the finished TourRecord, or None when the ant dead-ends (a normal
-    outcome). The ant keeps its partial tour and tabu list either way; the
-    tabu list records each visited node with its energy at visit time.
+    outcome). The ant keeps its partial tour either way.
     """
     _check_endpoints(net, source, dest)
     return _Walk(net, source, dest, quality, pheromone, params).tour(ant, rng)

@@ -247,7 +247,7 @@ def hop_counts(net: Network, target: int, blocked: frozenset[int] = frozenset())
     queue = deque([target])
     while queue:
         cur = queue.popleft()
-        for nxt in sorted(net._adjacency[cur]):
+        for nxt in net._adjacency[cur]:
             if nxt in hops or nxt in blocked:
                 continue
             hops[nxt] = hops[cur] + 1

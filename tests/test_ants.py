@@ -231,14 +231,6 @@ class TestConstructTour:
             assert record.distance == 2.0
             assert record.quality == 1.0
 
-    def test_tabu_records_energy_snapshots(self, line3):
-        line3.nodes[1].energy = 42.5
-        quality = {link: 1.0 for link in line3.links}
-        pheromone = PheromoneTable.uniform(line3, 1.0)
-        ant = Ant(0, Colony.EXPLOITER, 0.7)
-        construct_tour(ant, 0, 2, line3, pheromone, quality, params(), Random(1))
-        assert ant.tabu == [(0, 100.0), (1, 42.5), (2, 100.0)]
-
     def test_no_revisits_and_only_live_links(self):
         rng = Random(31)
         net = random_geometric_network(

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from textwrap import dedent
@@ -219,3 +220,19 @@ def test_module_invocation_matches_library(config_file):
     assert proc.returncode == EXIT_OK
     expected = report_json_bytes(run_scenario(parse_config(config_file.read_text()), 5))
     assert proc.stdout == expected
+
+
+def test_sweep_output_does_not_depend_on_hash_seed(config_file):
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "antjam", "sweep",
+             "--config", str(config_file), "--seeds", "1..3"],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "12345")
+    ]
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].splitlines()[1:4]
+    assert [row.split(b",")[0] for row in rows] == [b"1", b"2", b"3"]

@@ -350,6 +350,28 @@ class TestErrors:
             errors = errors_of(base + f"{key} = inf\n")
             assert errors == [(f"network.{key}", "must be < inf, got inf")]
 
+    def test_infinite_energy_rejected(self):
+        grid = MINIMAL + "energy = inf\n"
+        random = "[network]\nlayout = random\ncount = 4\nrange = 12\nenergy = inf\n"
+        for text in (grid, random):
+            assert errors_of(text) == [("network.energy", "must be < inf, got inf")]
+        errors = errors_of(
+            "[network]\nlayout = explicit\nnodes = 0,0,100,12; 1,1,inf,5\n"
+        )
+        assert errors == [("network.nodes", "entry 1: energy must be finite")]
+
+    def test_valid_pe_is_read_when_the_layout_is_invalid(self):
+        cases = {
+            "layout = grid\ncols = 2\nrange = 12\npe = 1\n":
+                [("network.rows", "required key is missing")],
+            "layout = explicit\nnodes = 0,0,100,12\npe = 1\n":
+                [("network.nodes", "need at least two nodes")],
+            "layout = random\ncount = 1\nrange = 12\npe = 1\n":
+                [("network.count", "must be >= 2, got 1")],
+        }
+        for body, expected in cases.items():
+            assert errors_of("[network]\n" + body) == expected, body
+
     def test_infinite_ranges_still_accepted(self):
         cfg = parse_config(MINIMAL.replace("range = 12", "range = inf"))
         assert cfg.network.radio_range == math.inf
