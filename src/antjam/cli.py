@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error. The only
 environment variable read is ANTJAM_WORKERS (sweep/compare worker count).
+A `--seeds` range may hold at most MAX_SEEDS seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# most seeds one sweep or compare runs; checked before the seed list is built
+MAX_SEEDS = 10_000
+
 
 def _parse_seed_range(text: str) -> list[int]:
     if ".." not in text:
@@ -28,6 +32,8 @@ def _parse_seed_range(text: str) -> list[int]:
     lo, hi = int(lo_text, 10), int(hi_text, 10)
     if lo < 0 or hi < lo:
         raise ValueError(f"need 0 <= a <= b, got {text!r}")
+    if hi - lo >= MAX_SEEDS:
+        raise ValueError(f"--seeds: at most {MAX_SEEDS} seeds, got {text!r}")
     return list(range(lo, hi + 1))
 
 

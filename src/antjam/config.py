@@ -125,12 +125,21 @@ def _steps(text: str) -> tuple[int, int]:
     """Inclusive integer range: either "k" or "a..b", both at least 1."""
     parts = text.split("..") if ".." in text else [text, text]
     try:
-        lo, hi = int(parts[0], 10), int(parts[1], 10)
-    except (ValueError, IndexError):
+        lo_text, hi_text = parts  # "a..b..c" has too many parts
+        lo, hi = int(lo_text, 10), int(hi_text, 10)
+    except ValueError:
         raise ValueError(f"expected an integer or a..b range, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"range must satisfy 1 <= a <= b, got {text!r}")
     return (lo, hi)
+
+
+def _line(text: str) -> str:
+    """Text on one line; a value continued over lines would not be written
+    back by format_config as one value."""
+    if "\n" in text:
+        raise ValueError(f"must be on one line, got {text!r}")
+    return text
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -294,7 +303,7 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
     )),
     "output": (None, (
         _Key("format", ("json", "csv"), target="output_format"),
-        _Key("path", str, target="output_path"),
+        _Key("path", _line, target="output_path"),
     )),
 }
 

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .network import Network, Position, euclidean_distance
+
+_T = TypeVar("_T")
 
 
 class JammerKind(Enum):
@@ -168,15 +170,13 @@ def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int,
     return row
 
 
-def _emitting(
-    net: Network,
+def _emissions(
     jammers: Iterable[Jammer],
     t: int,
-    radio: RadioParams,
     rng: Random,
     channel_active: bool | None,
-) -> list[tuple[float, dict[int, float]]]:
-    """(emission, gain row) of every jammer emitting at step t, in jammer order.
+) -> tuple[tuple[float, Position], ...]:
+    """(emission, position) of every jammer emitting at step t, in jammer order.
 
     Each jammer's emission is evaluated exactly once, so the random kind's
     draws from a shared rng keep their order.
@@ -185,8 +185,15 @@ def _emitting(
     for jammer in jammers:
         emitted = jammer_emission(jammer, t, _jammer_active(jammer, channel_active), rng)
         if emitted > 0.0:
-            out.append((emitted, _gain_row(net, jammer.position, radio)))
-    return out
+            out.append((emitted, jammer.position))
+    return tuple(out)
+
+
+def _rows(
+    net: Network, radio: RadioParams, sources: Iterable[tuple[float, Position]]
+) -> list[tuple[float, dict[int, float]]]:
+    """Each (power, position) with the gain row from that position."""
+    return [(power, _gain_row(net, position, radio)) for power, position in sources]
 
 
 def _noise(floor: float, emitting: list[tuple[float, dict[int, float]]], i: int) -> float:
@@ -211,9 +218,8 @@ def noise_at(
     bool applies to all of them (handy in direct tests).
     """
     net.node(node_id)
-    return _noise(
-        radio.floor, _emitting(net, jammers, t, radio, rng, channel_active), node_id
-    )
+    emissions = _emissions(jammers, t, rng, channel_active)
+    return _noise(radio.floor, _rows(net, radio, emissions), node_id)
 
 
 def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | None:
@@ -227,6 +233,30 @@ def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | 
     return radio.tx_power * path_gain(d, radio.d0, radio.gamma)
 
 
+def _memo(net: Network, name: str, key: tuple, build: Callable[[], _T]) -> _T:
+    """The value kept under `name` on the network if it was built under an
+    equal key; otherwise build(), kept under `key`."""
+    hit = net._radio_memo.get(name)
+    if hit is None or hit[0] != key:
+        hit = net._radio_memo[name] = (key, build())
+    return hit[1]
+
+
+def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, list[tuple[int, float]]]:
+    """(key, [(node, reference signal)]) of the live nodes that hear a neighbor.
+
+    Signals change only when a node dies or a radio value changes, so the
+    key is the network's death count and the radio values.
+    """
+    base = (net._deaths, radio.floor, radio.tx_power, radio.d0, radio.gamma)
+
+    def build() -> list[tuple[int, float]]:
+        signals = ((i, reference_signal(net, i, radio)) for i in net.alive_ids())
+        return [(i, signal) for i, signal in signals if signal is not None]
+
+    return base, _memo(net, "hearing", base, build)
+
+
 def sample_radio(
     net: Network,
     jammers: Iterable[Jammer],
@@ -237,19 +267,20 @@ def sample_radio(
 ) -> dict[int, RadioSample]:
     """Per-node RadioSample for one step, for every live node that can hear a neighbor.
 
-    Jammer emissions are evaluated on the first sampled node, and not at all
-    when no node is sampled.
+    Jammer emissions are evaluated once when some node is sampled, and not at
+    all when none is. The samples are memoised on the network, keyed on its
+    death count, the radio values and this step's (emission, position) pairs.
     """
-    emitting = None
-    samples: dict[int, RadioSample] = {}
-    for i in net.alive_ids():
-        signal = reference_signal(net, i, radio)
-        if signal is None:
-            continue
-        if emitting is None:
-            emitting = _emitting(net, jammers, t, radio, rng, channel_active)
-        samples[i] = RadioSample(signal, _noise(radio.floor, emitting, i))
-    return samples
+    base, hearing = _hearing(net, radio)
+    if not hearing:
+        return {}
+    emissions = _emissions(jammers, t, rng, channel_active)
+
+    def build() -> dict[int, RadioSample]:
+        rows = _rows(net, radio, emissions)
+        return {i: RadioSample(signal, _noise(radio.floor, rows, i)) for i, signal in hearing}
+
+    return dict(_memo(net, "samples", (base, emissions), build))
 
 
 def jammed_from_samples(samples: Mapping[int, RadioSample]) -> set[int]:
@@ -287,15 +318,19 @@ def deceptive_victims(
     A node is a victim when some deceptive jammer's received power reaches its
     reference signal power, i.e. the fake traffic wins the channel.
     """
-    deceptive = [
-        j for j in jammers if j.kind is JammerKind.DECEPTIVE and t >= j.start
-    ]
-    if not deceptive:
+    fakes = tuple(
+        (j.power, j.position)
+        for j in jammers
+        if j.kind is JammerKind.DECEPTIVE and t >= j.start
+    )
+    if not fakes:
         return set()
-    fakes = [(j.power, _gain_row(net, j.position, radio)) for j in deceptive]
-    victims: set[int] = set()
-    for i in net.alive_ids():
-        signal = reference_signal(net, i, radio)
-        if signal is not None and any(power * row[i] >= signal for power, row in fakes):
-            victims.add(i)
-    return victims
+    base, hearing = _hearing(net, radio)
+
+    def build() -> set[int]:
+        rows = _rows(net, radio, fakes)
+        return {
+            i for i, signal in hearing if any(power * row[i] >= signal for power, row in rows)
+        }
+
+    return set(_memo(net, "victims", (base, fakes), build))

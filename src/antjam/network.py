@@ -64,6 +64,8 @@ class Network:
     network: each node's nearest-live-neighbor distance (dropped around a
     node when it dies) and the jammer-to-node path-gain rows that jammers.py
     keeps in `_gain_rows` (never stale, since only positions enter them).
+    jammers.py also keeps its last radio picture in `_radio_memo`, keyed in
+    part on `_deaths`, the number of nodes that have died so far.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -87,6 +89,8 @@ class Network:
         self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
         self._nearest: dict[int, float | None] = {}
         self._gain_rows: dict[tuple[Position, float, float], dict[int, float]] = {}
+        self._radio_memo: dict[str, tuple[tuple, object]] = {}
+        self._deaths = 0
         self._build_links()
 
     def _build_links(self) -> None:
@@ -188,6 +192,7 @@ class Network:
     def _kill(self, i: int) -> None:
         node = self.nodes[i]
         node.alive = False
+        self._deaths += 1
         self._nearest.pop(i, None)
         for j in list(self._adjacency[i]):
             self._nearest.pop(j, None)

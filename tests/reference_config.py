@@ -5,12 +5,15 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Two fixes are applied on top of the original code, and nothing else:
+Four fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
-unknown key whenever another `[network]` key was invalid); and an infinite
+unknown key whenever another `[network]` key was invalid); an infinite
 node `energy` is rejected (`< inf` for grid and random layouts, `energy must
-be finite` for an explicit entry).
+be finite` for an explicit entry); a jammer `sleep` or `jam` range with more
+than two parts, such as `1..2..9`, is rejected (it used to be read as
+`1..2`); and an `[output] path` continued over several lines is rejected
+(`format_config` wrote it back over several lines, which did not parse).
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ class _Section:
             return default
         parts = text.split("..") if ".." in text else [text, text]
         try:
-            lo, hi = int(parts[0], 10), int(parts[1], 10)
+            lo_text, hi_text = parts
+            lo, hi = int(lo_text, 10), int(hi_text, 10)
         except (ValueError, IndexError):
             self.error(key, f"expected an integer or a..b range, got {text!r}")
             return default
@@ -381,6 +385,9 @@ def parse_config(text: str) -> ScenarioConfig:
         sec = sections["output"]
         output_format = sec.get_choice("format", ("json", "csv"), default="json")
         output_path = sec.take("path")
+        if output_path is not None and "\n" in output_path:
+            sec.error("path", f"must be on one line, got {output_path!r}")
+            output_path = None
         sec.finish()
 
     jammers = []

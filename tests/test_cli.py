@@ -4,10 +4,12 @@ import subprocess
 import sys
 from textwrap import dedent
 
+from antjam import cli
 from antjam.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    MAX_SEEDS,
     _parse_seed_range,
     _worker_count,
     main,
@@ -64,6 +66,19 @@ class TestSeedRange:
         for bad in ("5", "3..1", "-1..2", "a..b"):
             with pytest.raises(ValueError):
                 _parse_seed_range(bad)
+
+    def test_ceiling_is_checked_before_the_list_is_built(self):
+        assert len(_parse_seed_range(f"5..{MAX_SEEDS + 4}")) == MAX_SEEDS
+        for text in (f"5..{MAX_SEEDS + 5}", f"0..{10**18}"):
+            with pytest.raises(ValueError, match=f"^--seeds: at most {MAX_SEEDS} seeds"):
+                _parse_seed_range(text)
+
+    def test_too_many_seeds_is_config_error(self, config_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_run_batch", None)  # nothing may run
+        for command in ("sweep", "compare"):
+            code = main([command, "--config", str(config_file), "--seeds", f"0..{10**18}"])
+            assert code == EXIT_CONFIG
+            assert "error: --seeds: at most" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -3,6 +3,7 @@ from textwrap import dedent
 
 import pytest
 
+import reference_config as ref
 from antjam.config import (
     ConfigError,
     ExplicitNetworkSpec,
@@ -372,6 +373,24 @@ class TestErrors:
         for body, expected in cases.items():
             assert errors_of("[network]\n" + body) == expected, body
 
+    def test_step_range_with_three_parts_rejected(self):
+        text = MINIMAL + (
+            "\n[jammer]\nkind = random\nx = 0\ny = 0\npower = 0.1\nsleep = 1..2..9\n"
+        )
+        expected = [("jammer.sleep", "expected an integer or a..b range, got '1..2..9'")]
+        assert errors_of(text) == expected
+        with pytest.raises(ConfigError) as excinfo:
+            ref.parse_config(text)
+        assert excinfo.value.errors == expected
+
+    def test_multi_line_output_path_rejected(self):
+        text = MINIMAL + "\n[output]\npath = runs/a\n  b.json\n"
+        expected = [("output.path", "must be on one line, got 'runs/a\\nb.json'")]
+        assert errors_of(text) == expected
+        with pytest.raises(ConfigError) as excinfo:
+            ref.parse_config(text)
+        assert excinfo.value.errors == expected
+
     def test_infinite_ranges_still_accepted(self):
         cfg = parse_config(MINIMAL.replace("range = 12", "range = inf"))
         assert cfg.network.radio_range == math.inf
@@ -404,6 +423,11 @@ class TestRoundTrip:
 
     def test_minimal_config_survives_format_parse(self):
         cfg = parse_config(MINIMAL)
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_output_path_survives_format_parse(self):
+        cfg = parse_config(MINIMAL + "\n[output]\npath = runs/a b.json\n")
+        assert cfg.output_path == "runs/a b.json"
         assert parse_config(format_config(cfg)) == cfg
 
     def test_explicit_layout_survives_format_parse(self):

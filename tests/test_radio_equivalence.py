@@ -1,13 +1,18 @@
 """The cell-grid link build and cached radio layer against reference_radio.py.
 
-The package builds links on a uniform cell grid and caches each node's
+The package builds links on a uniform cell grid, caches each node's
 nearest-live-neighbor distance and each jammer's path-gain row on the
-network. None of that may change a result: on generated explicit networks
-the links, distances, adjacency, radio samples, deceptive victims and the
+network, and memoises the last radio samples and deceptive victims there.
+None of that may change a result: on generated explicit networks the links,
+distances, adjacency, radio samples, jammed flags, deceptive victims and the
 jammer rng state must equal the original pairwise, recompute-everything
-implementation, while relays die between steps.
+implementation at every step of runs of up to 40 steps, while relays die,
+random jammers change phase, reactive jammers turn on and off, jammer powers
+and radio values change on the same network, and steps come where no node is
+sampled.
 """
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -25,6 +30,7 @@ from antjam.jammers import (
     JammerKind,
     RadioParams,
     deceptive_victims,
+    jammed_from_samples,
     noise_at,
     reference_signal,
     sample_radio,
@@ -34,6 +40,13 @@ from antjam.network import Node, build_network
 # A few fixed jammer spots, so that a cache keyed on position alone would be
 # hit again by another example's network.
 JAMMER_SPOTS = ((0.0, 0.0), (1.0, 0.0), (0.5, 1.5), (-1.0, -1.0))
+# the values a step may set on the run's RadioParams
+RADIO_VALUES = {
+    "floor": (1e-9, 1e-3),
+    "tx_power": (0.1, 1.0),
+    "d0": (0.5, 1.0),
+    "gamma": (0.0, 2.0, 3.0),
+}
 
 
 def assert_same_links(net, specs):
@@ -94,20 +107,25 @@ def radio_cases(draw):
         for _ in range(draw(st.integers(0, 3)))
     ]
     radio = RadioParams(
-        floor=draw(st.sampled_from([1e-9, 1e-3])),
-        tx_power=draw(st.sampled_from([0.1, 1.0])),
-        d0=draw(st.sampled_from([0.5, 1.0])),
-        gamma=draw(st.sampled_from([0.0, 2.0, 3.0])),
+        **{name: draw(st.sampled_from(values)) for name, values in RADIO_VALUES.items()}
     )
     steps = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 40))):
+        # about one death every few steps, so runs have stretches of both
         drains = [
             (rng.randrange(count), rng.choice([0.5, 1.0, 5.0]))
-            for _ in range(draw(st.integers(0, 3)))
+            for _ in range(rng.choice([0, 0, 0, 1, 2]))
         ]
         channel = draw(st.sampled_from([None, True, False]))
         triggered = [rng.random() < 0.5 for _ in jammer_specs]
-        steps.append((drains, channel, triggered))
+        retune = None
+        if rng.random() < 0.2:
+            name = rng.choice(sorted(RADIO_VALUES))
+            retune = (name, rng.choice(RADIO_VALUES[name]))
+        repower = None
+        if jammer_specs and rng.random() < 0.2:
+            repower = (rng.randrange(len(jammer_specs)), rng.choice([0.001, 0.05, 1.0]))
+        steps.append((drains, channel, triggered, retune, repower))
     return specs, jammer_specs, radio, steps, draw(st.integers(0, 2**32 - 1))
 
 
@@ -129,11 +147,17 @@ def test_matches_reference_radio(case):
 
     mine, theirs = make_jammers(jammer_specs), make_jammers(jammer_specs)
     rng_a, rng_b = Random(seed), Random(seed)
-    for t, (drains, channel, triggered) in enumerate(steps):
+    radio = dataclasses.replace(radio)  # retuned below; keep the drawn case intact
+    for t, (drains, channel, triggered, retune, repower) in enumerate(steps):
         for i, amount in drains:
             net.drain_energy(i, amount)
         for a, b, flag in zip(mine, theirs, triggered):
             a.triggered = b.triggered = flag
+        if retune is not None:
+            setattr(radio, *retune)
+        if repower is not None:
+            k, power = repower
+            mine[k].power = theirs[k].power = power
         with mock.patch.object(
             jammers_mod, "jammer_emission", wraps=jammers_mod.jammer_emission
         ) as emission:
@@ -142,6 +166,9 @@ def test_matches_reference_radio(case):
         assert emission.call_count == (len(mine) if got else 0)
         want = ref.sample_radio(net, theirs, t, radio, rng_b, channel)
         assert list(got.items()) == list(want.items())
+        assert jammed_from_samples(got) == {
+            i for i, sample in want.items() if sample.p_signal / sample.p_noise < 1.0
+        }
         assert rng_a.getstate() == rng_b.getstate()
         assert deceptive_victims(net, mine, t, radio) == ref.deceptive_victims(
             net, theirs, t, radio
