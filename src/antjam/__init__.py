@@ -8,7 +8,6 @@ from .ants import (
     SearchParams,
     SearchResult,
     adapt_sensitivity,
-    construct_tour,
     global_pheromone_update,
     init_colonies,
     run_search,
@@ -22,7 +21,6 @@ from .jammers import (
     RadioParams,
     RadioSample,
     is_jammed,
-    jammed_nodes,
     jammer_emission,
     noise_at,
     signal_to_noise_ratio,
@@ -69,14 +67,12 @@ __all__ = [
     "TourRecord",
     "adapt_sensitivity",
     "build_network",
-    "construct_tour",
     "euclidean_distance",
     "format_config",
     "global_pheromone_update",
     "grid_network",
     "init_colonies",
     "is_jammed",
-    "jammed_nodes",
     "jammer_emission",
     "link_quality",
     "measure_link",

@@ -93,11 +93,15 @@ class SearchParams:
             raise ValueError("psl_delta must be in [0, 1)")
 
 
-class PheromoneTable:
-    """Pheromone per directed link; keys mirror the network's link set."""
+class PheromoneTable(dict):
+    """Pheromone per directed link.
 
-    def __init__(self, values: dict[tuple[int, int], float]):
-        self.values = values
+    A link missing from the dict reads `untouched`, the one value shared by
+    every link no tour has used; with untouched None such a read raises
+    KeyError, so a table built over a fixed link set rejects other links.
+    """
+
+    untouched: float | None = None
 
     @classmethod
     def uniform(cls, net: Network, phi0: float) -> "PheromoneTable":
@@ -105,22 +109,11 @@ class PheromoneTable:
             raise ValueError("phi0 must be positive")
         return cls({link: phi0 for link in sorted(net.links)})
 
-    def __getitem__(self, link: tuple[int, int]) -> float:
-        return self.values[link]
-
-    def __setitem__(self, link: tuple[int, int], value: float) -> None:
-        if link not in self.values:
+    def __missing__(self, link: tuple[int, int]) -> float:
+        untouched = self.untouched
+        if untouched is None:
             raise KeyError(f"unknown link {link}")
-        self.values[link] = value
-
-    def __contains__(self, link: tuple[int, int]) -> bool:
-        return link in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def max_value(self) -> float:
-        return max(self.values.values())
+        return untouched
 
 
 def _draw_sensitivity(rng: Random, lo: float, hi: float) -> float:
@@ -151,7 +144,7 @@ def init_colonies(params: SearchParams, rng: Random) -> list[Ant]:
 def _weight(
     node: int,
     u: int,
-    pheromone: Mapping[tuple[int, int], float] | PheromoneTable,
+    pheromone: Mapping[tuple[int, int], float],
     quality: Mapping[tuple[int, int], float],
     distance: Mapping[tuple[int, int], float],
     params: SearchParams,
@@ -206,7 +199,7 @@ def _argmax(weights: Sequence[float]) -> int | None:
 def transition_probabilities(
     node: int,
     candidates: Sequence[int],
-    pheromone: Mapping[tuple[int, int], float] | PheromoneTable,
+    pheromone: Mapping[tuple[int, int], float],
     quality: Mapping[tuple[int, int], float],
     distance: Mapping[tuple[int, int], float],
     params: SearchParams,
@@ -225,18 +218,10 @@ def transition_probabilities(
     return dict(zip(ordered, probs))
 
 
-def choose_next_explorer(probabilities: Mapping[int, float], rng: Random) -> int:
-    """Roulette-wheel draw from a normalized probability table."""
-    if not probabilities:
-        raise DeadEnd("empty probability table")
-    ids = list(probabilities)
-    return ids[_roulette(list(probabilities.values()), rng)]
-
-
 def choose_next_exploiter(
     node: int,
     candidates: Sequence[int],
-    pheromone: Mapping[tuple[int, int], float] | PheromoneTable,
+    pheromone: Mapping[tuple[int, int], float],
     quality: Mapping[tuple[int, int], float],
     distance: Mapping[tuple[int, int], float],
     params: SearchParams,
@@ -276,7 +261,7 @@ class _Walk:
         source: int,
         dest: int,
         quality: Mapping[tuple[int, int], float],
-        pheromone: Mapping[tuple[int, int], float] | PheromoneTable,
+        pheromone: PheromoneTable,
         params: SearchParams,
     ):
         self.net = net
@@ -366,89 +351,25 @@ class _Walk:
         return TourRecord(tuple(tour), ant.distance, tour_quality(tour, self.quality))
 
 
-def construct_tour(
-    ant: Ant,
-    source: int,
-    dest: int,
-    net: Network,
-    pheromone: PheromoneTable,
-    quality: Mapping[tuple[int, int], float],
-    params: SearchParams,
-    rng: Random,
-) -> TourRecord | None:
-    """Walk one ant from source toward dest, never revisiting a node.
-
-    Returns the finished TourRecord, or None when the ant dead-ends (a normal
-    outcome). The ant keeps its partial tour either way.
-    """
-    _check_endpoints(net, source, dest)
-    return _Walk(net, source, dest, quality, pheromone, params).tour(ant, rng)
-
-
-def _pheromone_round(
-    values: dict[tuple[int, int], float],
-    tours: Sequence[TourRecord],
-    params: SearchParams,
-    untouched: float | None = None,
-) -> float | None:
-    """Decay every link in values, then deposit along each tour.
-
-    Each tour adds q / (distance * quality) to every directed link it used.
-    With untouched=None a link missing from values is an error; otherwise
-    untouched is the shared value of every link not in values, and it decays
-    too. Returns the decayed shared value.
-    """
-    for link in values:
-        values[link] *= params.rho
-    if untouched is not None:
-        untouched *= params.rho
-    for tour in tours:
-        if tour.distance <= 0.0 or tour.quality <= 0.0:
-            raise ValueError("tour with non-positive distance or quality")
-        deposit = params.q / (tour.distance * tour.quality)
-        for link in zip(tour.path, tour.path[1:]):
-            if link not in values:
-                if untouched is None:
-                    raise KeyError(f"tour uses unknown link {link}")
-                values[link] = untouched
-            values[link] += deposit
-    return untouched
-
-
 def global_pheromone_update(
     pheromone: PheromoneTable, tours: Sequence[TourRecord], params: SearchParams
 ) -> PheromoneTable:
     """One batch pheromone round: every link decays, successful tours deposit.
 
-    Each tour adds q / (distance * quality) to every directed link it used.
+    The shared untouched value decays with the links held in the table. Each
+    tour adds q / (distance * quality) to every directed link it used.
     """
-    _pheromone_round(pheromone.values, tours, params)
+    for link in pheromone:
+        pheromone[link] *= params.rho
+    if pheromone.untouched is not None:
+        pheromone.untouched *= params.rho
+    for tour in tours:
+        if tour.distance <= 0.0 or tour.quality <= 0.0:
+            raise ValueError("tour with non-positive distance or quality")
+        deposit = params.q / (tour.distance * tour.quality)
+        for link in zip(tour.path, tour.path[1:]):
+            pheromone[link] += deposit
     return pheromone
-
-
-class _SparsePheromone(dict):
-    """Pheromone of one search, holding only the links tours have used.
-
-    Every other link still holds the value all links started from, decayed
-    alike each round: one shared value, returned for any link not present.
-    """
-
-    def __init__(self, phi0: float):
-        if phi0 <= 0:
-            raise ValueError("phi0 must be positive")
-        super().__init__()
-        self.untouched = phi0
-
-    def __missing__(self, link: tuple[int, int]) -> float:
-        return self.untouched
-
-    def decay_and_deposit(
-        self, tours: Sequence[TourRecord], params: SearchParams
-    ) -> None:
-        self.untouched = _pheromone_round(self, tours, params, self.untouched)
-
-    def table(self, net: Network) -> PheromoneTable:
-        return PheromoneTable({link: self[link] for link in sorted(net.links)})
 
 
 def adapt_sensitivity(
@@ -528,7 +449,8 @@ def run_search(
     phi0 and is updated in one batch per iteration from that iteration's
     successful tours. The best tour by quality/distance across all iterations
     is returned; None when every ant failed every round (dest unreachable is
-    data, not an error).
+    data, not an error). The returned pheromone holds the links tours used;
+    every other link reads its shared untouched value.
 
     net and quality must not change while the search runs: each node's
     candidate row is read from them once, when an ant first reaches it.
@@ -537,7 +459,8 @@ def run_search(
     if quality is None:
         quality = {link: 1.0 for link in net.links}
 
-    pheromone = _SparsePheromone(params.phi0)
+    pheromone = PheromoneTable()
+    pheromone.untouched = params.phi0
     walk = _Walk(net, source, dest, quality, pheromone, params)
     ants = init_colonies(params, rng)
     token = rng.getrandbits(64)
@@ -571,7 +494,7 @@ def run_search(
             succeeded.append(record)
             scores.append(score)
 
-        pheromone.decay_and_deposit(succeeded, params)
+        global_pheromone_update(pheromone, succeeded, params)
         stats.append(
             IterationStats(
                 iteration=iteration,
@@ -583,5 +506,4 @@ def run_search(
             )
         )
 
-    del walk  # drop the rows before the full table is built
-    return SearchResult(best, pheromone.table(net), stats, transmit_counts)
+    return SearchResult(best, pheromone, stats, transmit_counts)

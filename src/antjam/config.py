@@ -28,6 +28,13 @@ from .network import (
 )
 
 
+# Ceilings on the sizes a document may ask for, checked while parsing so that
+# no oversized scenario is ever built.
+MAX_NODES = 100_000  # random `count`, grid `rows * cols`
+MAX_DURATION = 1_000_000  # traffic `duration`, in steps
+MAX_ANT_TOURS = 1_000_000  # (n_explorers + n_exploiters) * iterations
+
+
 class ConfigError(Exception):
     """Carries every (key, reason) problem found while parsing a config."""
 
@@ -258,7 +265,7 @@ _LAYOUTS: dict[str, tuple[type, tuple[_Key, ...]]] = {
         _ENERGY,
     )),
     "random": (RandomNetworkSpec, (
-        _Key("count", int, required=True, ge=2),
+        _Key("count", int, required=True, ge=2, le=MAX_NODES),
         _RANGE,
         _Key("width", float, gt=0, lt=math.inf),
         _Key("height", float, gt=0, lt=math.inf),
@@ -293,7 +300,7 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
     "traffic": (None, (
         _Key("sources", _ints),
         _Key("rate", float, ge=0),
-        _Key("duration", int, ge=0),
+        _Key("duration", int, ge=0, le=MAX_DURATION),
     )),
     "sim": (None, (
         _Key("packet_energy_cost", float, ge=0),
@@ -365,6 +372,9 @@ def _parse_network(sec: _Section) -> NetworkSpec | None:
             if rows * cols < 2:
                 sec.error("rows", "grid needs at least two nodes")
                 ok = False
+            elif rows * cols > MAX_NODES:
+                sec.error("rows", f"rows * cols must be <= {MAX_NODES}, got {rows * cols}")
+                ok = False
             elif not math.isfinite(spacing * (max(rows, cols) - 1)):
                 sec.error("spacing", f"grid coordinates must be finite, got {spacing!r}")
                 ok = False
@@ -411,8 +421,12 @@ def parse_config(text: str) -> ScenarioConfig:
         if name == "search":
             ants = [values.get(k, getattr(SearchParams, k))
                     for k in ("n_explorers", "n_exploiters")]
+            tours = sum(ants) * values.get("iterations", SearchParams.iterations)
             if sum(ants) < 1:
                 sec.error("n_explorers", "need at least one ant across both colonies")
+            elif tours > MAX_ANT_TOURS:
+                sec.error("iterations", "(n_explorers + n_exploiters) * iterations "
+                          f"must be <= {MAX_ANT_TOURS}, got {tours}")
         sec.finish()
         if name == "traffic" and network is not None:
             for src in values.get("sources", ()):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterable
 
 from .ants import run_search
 from .config import (
@@ -108,7 +107,6 @@ class ScenarioState:
     dropped: int = 0
     delay_sum: int = 0
     reroutes: int = 0
-    jammed_per_step: list[int] = field(default_factory=list)
     trace: list[list[int]] = field(default_factory=list)
     searches: list[SearchSummary] = field(default_factory=list)
 
@@ -275,7 +273,6 @@ class Simulation:
 
         st.last_transmitters = transmitters
         st.last_samples = samples
-        st.jammed_per_step.append(len(flags))
         st.trace.append(
             [t, st.sent, st.delivered, st.dropped, len(st.packets), len(flags)]
         )
@@ -343,6 +340,7 @@ class Simulation:
 
     def report(self) -> RunReport:
         st = self.state
+        jammed_per_step = [row[5] for row in st.trace]  # the flagged column
         pdr = st.delivered / st.sent if st.sent else 1.0
         mean_delay = st.delay_sum / st.delivered if st.delivered else 0.0
         energy_spent = {
@@ -359,9 +357,9 @@ class Simulation:
             pdr=pdr,
             mean_delay=mean_delay,
             reroutes=st.reroutes,
-            jammed_peak=max(st.jammed_per_step, default=0),
+            jammed_peak=max(jammed_per_step, default=0),
             energy_spent=energy_spent,
-            jammed_per_step=list(st.jammed_per_step),
+            jammed_per_step=jammed_per_step,
             searches=list(st.searches),
             trace=[list(row) for row in st.trace],
         )
@@ -370,7 +368,3 @@ class Simulation:
 def run_scenario(config: ScenarioConfig, seed: int) -> RunReport:
     """Build and run one seeded scenario end to end."""
     return Simulation(config, seed).run()
-
-
-def run_many(config: ScenarioConfig, seeds: Iterable[int]) -> list[RunReport]:
-    return [run_scenario(config, seed) for seed in seeds]

@@ -151,12 +151,6 @@ def jammer_emission(jammer: Jammer, t: int, channel_active: bool, rng: Random) -
     return jammer.power if jammer._phase == "jam" else 0.0
 
 
-def _jammer_active(jammer: Jammer, channel_active: bool | None) -> bool:
-    if channel_active is None:
-        return jammer.triggered
-    return channel_active
-
-
 def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
     """Path gain from `position` to every node, cached on the network."""
     key = (position, radio.d0, radio.gamma)
@@ -174,16 +168,16 @@ def _emissions(
     jammers: Iterable[Jammer],
     t: int,
     rng: Random,
-    channel_active: bool | None,
 ) -> tuple[tuple[float, Position], ...]:
     """(emission, position) of every jammer emitting at step t, in jammer order.
 
     Each jammer's emission is evaluated exactly once, so the random kind's
-    draws from a shared rng keep their order.
+    draws from a shared rng keep their order. A reactive jammer emits when its
+    own `triggered` state is set.
     """
     out = []
     for jammer in jammers:
-        emitted = jammer_emission(jammer, t, _jammer_active(jammer, channel_active), rng)
+        emitted = jammer_emission(jammer, t, jammer.triggered, rng)
         if emitted > 0.0:
             out.append((emitted, jammer.position))
     return tuple(out)
@@ -210,15 +204,10 @@ def noise_at(
     t: int,
     radio: RadioParams,
     rng: Random,
-    channel_active: bool | None = None,
 ) -> float:
-    """Total noise power at a node: floor plus every jammer's attenuated emission.
-
-    channel_active=None reads each reactive jammer's own `triggered` state; a
-    bool applies to all of them (handy in direct tests).
-    """
+    """Total noise power at a node: floor plus every jammer's attenuated emission."""
     net.node(node_id)
-    emissions = _emissions(jammers, t, rng, channel_active)
+    emissions = _emissions(jammers, t, rng)
     return _noise(radio.floor, _rows(net, radio, emissions), node_id)
 
 
@@ -263,7 +252,6 @@ def sample_radio(
     t: int,
     radio: RadioParams,
     rng: Random,
-    channel_active: bool | None = None,
 ) -> dict[int, RadioSample]:
     """Per-node RadioSample for one step, for every live node that can hear a neighbor.
 
@@ -274,7 +262,7 @@ def sample_radio(
     base, hearing = _hearing(net, radio)
     if not hearing:
         return {}
-    emissions = _emissions(jammers, t, rng, channel_active)
+    emissions = _emissions(jammers, t, rng)
 
     def build() -> dict[int, RadioSample]:
         rows = _rows(net, radio, emissions)
@@ -284,27 +272,10 @@ def sample_radio(
 
 
 def jammed_from_samples(samples: Mapping[int, RadioSample]) -> set[int]:
+    """Nodes whose reference reception is drowned out this step (before debounce)."""
     return {
         i for i, s in samples.items() if is_jammed(signal_to_noise_ratio(s))
     }
-
-
-def jammed_nodes(
-    net: Network,
-    jammers: Iterable[Jammer],
-    t: int,
-    radio: RadioParams,
-    rng: Random,
-    channel_active: bool | None = None,
-) -> set[int]:
-    """Nodes whose reference reception is drowned out this step (before debounce).
-
-    Noise only ever adds, so growing the jammer set or any jammer's power can
-    never shrink this set.
-    """
-    return jammed_from_samples(
-        sample_radio(net, jammers, t, radio, rng, channel_active)
-    )
 
 
 def deceptive_victims(

@@ -3,7 +3,8 @@
 Every factor lives in [0, 1] and the quality of a link is their plain
 product, so one dead factor kills the link. Factors come from observable
 state: hop progress toward the processing element, residual energy, a
-bit-error proxy, signal-to-noise ratio, and rolling delivery/loss counters.
+bit-error proxy that mirrors the signal-to-noise ratio, that ratio itself,
+and rolling delivery/loss counters.
 """
 
 from __future__ import annotations
@@ -131,17 +132,16 @@ def measure_link(
     totals: MetricTotals | None = None,
     flagged: frozenset[int] = frozenset(),
     hops_to_pe: Mapping[int, int] | None = None,
-    bit_error: Mapping[tuple[int, int], float] | None = None,
 ) -> LinkMetrics:
     """Measure the six factors for directed link (i, j).
 
     The hop factor reflects how close j sits to the processing element over
     paths avoiding flagged nodes; unreachable means 0. A flagged endpoint
     clamps the SNR factor to 0, which kills the link outright. The bit-error
-    factor mirrors the SNR factor unless an explicit bit-error table entry
-    exists for the link. Delivery/loss default to 1 while counters are empty.
+    factor mirrors the SNR factor. Delivery/loss default to 1 while counters
+    are empty.
     """
-    if not net.has_link(i, j):
+    if (i, j) not in net.links:
         raise ValueError(f"no link between {i} and {j}")
     if totals is None:
         totals = MetricTotals.for_network(net)
@@ -164,12 +164,6 @@ def measure_link(
         snr = signal_to_noise_ratio(sample) if sample is not None else 0.0
         snr_factor = normalize_metric(totals.snr - min(snr, totals.snr), totals.snr)
 
-    ber = bit_error.get((i, j)) if bit_error is not None else None
-    if ber is None:
-        b_factor = snr_factor
-    else:
-        b_factor = normalize_metric(ber, 1.0)
-
     counter = counters.get((i, j)) if counters is not None else None
     if counter is None or counter.attempts == 0:
         delivery = 1.0
@@ -180,7 +174,7 @@ def measure_link(
         )
         loss = normalize_metric(float(counter.lost), float(counter.attempts))
 
-    return LinkMetrics(hop, energy, b_factor, snr_factor, delivery, loss)
+    return LinkMetrics(hop, energy, snr_factor, snr_factor, delivery, loss)
 
 
 def build_link_metrics(
@@ -189,26 +183,23 @@ def build_link_metrics(
     counters: Mapping[tuple[int, int], LinkCounters] | None = None,
     totals: MetricTotals | None = None,
     flagged: frozenset[int] = frozenset(),
-    bit_error: Mapping[tuple[int, int], float] | None = None,
 ) -> dict[tuple[int, int], LinkMetrics]:
     """Measure every directed link, in ascending (i, j) order.
 
-    Apart from its counter and bit-error entries, a link (i, j) reads its
-    source only through `i in flagged`, so links without such entries share
-    one measurement per (j, i in flagged); links with an entry are measured
-    on their own. One hop-count sweep serves the whole table.
+    Apart from its counter, a link (i, j) reads its source only through
+    `i in flagged`, so links without a counter share one measurement per
+    (j, i in flagged); links with a counter are measured on their own. One
+    hop-count sweep serves the whole table.
     """
     if totals is None:
         totals = MetricTotals.for_network(net)
     hops = hop_counts(net, net.pe_id, blocked=flagged)
-    own = set(counters or ()) | set(bit_error or ())
+    own = counters or {}
     shared: dict[tuple[int, bool], LinkMetrics] = {}
     table: dict[tuple[int, int], LinkMetrics] = {}
 
     def measure(i: int, j: int) -> LinkMetrics:
-        return measure_link(
-            net, samples, i, j, counters, totals, flagged, hops, bit_error
-        )
+        return measure_link(net, samples, i, j, counters, totals, flagged, hops)
 
     for i in sorted(net.nodes):
         i_flagged = i in flagged
@@ -235,24 +226,3 @@ def quality_from_metrics(
             q = scored[id(m)] = link_quality(m)
         quality[link] = q
     return quality
-
-
-def metrics_csv(table: Mapping[tuple[int, int], LinkMetrics]) -> str:
-    """Dump a metrics table as CSV with one directed link per row."""
-    lines = ["i,j,H,E,B,SNR,Pd,Pl,eta"]
-    for (i, j) in sorted(table):
-        m = table[(i, j)]
-        fields = [str(i), str(j)] + [
-            f"{v:.6g}"
-            for v in (
-                m.hop,
-                m.energy,
-                m.bit_error,
-                m.snr,
-                m.delivery,
-                m.loss,
-                link_quality(m),
-            )
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"

@@ -145,15 +145,6 @@ class Network:
         self.node(i)
         return set(self._adjacency[i])
 
-    def has_link(self, i: int, j: int) -> bool:
-        return (i, j) in self.links
-
-    def link_distance(self, i: int, j: int) -> float:
-        try:
-            return self.distance[(i, j)]
-        except KeyError:
-            raise ValueError(f"no link between {i} and {j}") from None
-
     def nearest_distance(self, i: int) -> float | None:
         """Distance from i to its nearest live neighbor; None without one."""
         try:
@@ -167,11 +158,6 @@ class Network:
 
     def alive_ids(self) -> list[int]:
         return sorted(i for i, n in self.nodes.items() if n.alive)
-
-    @property
-    def link_pairs(self) -> frozenset[tuple[int, int]]:
-        """Undirected view of the link set."""
-        return frozenset((a, b) for (a, b) in self.links if a < b)
 
     def drain_energy(self, i: int, amount: float) -> "Network":
         """Subtract energy from node i, flooring at zero.

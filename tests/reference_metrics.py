@@ -28,16 +28,13 @@ def build_link_metrics(
     counters: Mapping[tuple[int, int], LinkCounters] | None = None,
     totals: MetricTotals | None = None,
     flagged: frozenset[int] = frozenset(),
-    bit_error: Mapping[tuple[int, int], float] | None = None,
 ) -> dict[tuple[int, int], LinkMetrics]:
     """Measure every directed link once, sharing one hop-count sweep."""
     if totals is None:
         totals = MetricTotals.for_network(net)
     hops = hop_counts(net, net.pe_id, blocked=flagged)
     return {
-        (i, j): measure_link(
-            net, samples, i, j, counters, totals, flagged, hops, bit_error
-        )
+        (i, j): measure_link(net, samples, i, j, counters, totals, flagged, hops)
         for (i, j) in sorted(net.links)
     }
 

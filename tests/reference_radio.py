@@ -94,7 +94,7 @@ def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | 
     nbrs = net.neighbors(node_id)
     if not nbrs:
         return None
-    d = min(net.link_distance(node_id, n) for n in nbrs)
+    d = min(net.distance[(node_id, n)] for n in nbrs)
     return radio.tx_power * path_gain(d, radio.d0, radio.gamma)
 
 

@@ -170,16 +170,16 @@ def global_pheromone_update(
 
     Each tour adds q / (distance * quality) to every directed link it used.
     """
-    for link in pheromone.values:
-        pheromone.values[link] *= params.rho
+    for link in pheromone:
+        pheromone[link] *= params.rho
     for tour in tours:
         if tour.distance <= 0.0 or tour.quality <= 0.0:
             raise ValueError("tour with non-positive distance or quality")
         deposit = params.q / (tour.distance * tour.quality)
         for link in zip(tour.path, tour.path[1:]):
-            if link not in pheromone.values:
+            if link not in pheromone:
                 raise KeyError(f"tour uses unknown link {link}")
-            pheromone.values[link] += deposit
+            pheromone[link] += deposit
     return pheromone
 
 

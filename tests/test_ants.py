@@ -10,10 +10,10 @@ from antjam.ants import (
     DeadEnd,
     PheromoneTable,
     SearchParams,
+    _roulette,
+    _Walk,
     adapt_sensitivity,
     choose_next_exploiter,
-    choose_next_explorer,
-    construct_tour,
     global_pheromone_update,
     init_colonies,
     run_search,
@@ -138,14 +138,17 @@ class TestTransitionProbabilities:
 
 
 class TestExplorerChoice:
+    # _roulette draws an index into a normalized probability list, which is
+    # what explorer ants do at every hop
     def test_roulette_frequencies(self):
         pheromone, quality, distance = two_candidate_instance()
         probs = transition_probabilities(
             0, [1, 2], pheromone, quality, distance, params()
         )
+        ordered = list(probs.values())
         rng = Random(123)
         draws = 30000
-        hits = sum(1 for _ in range(draws) if choose_next_explorer(probs, rng) == 1)
+        hits = sum(1 for _ in range(draws) if _roulette(ordered, rng) == 0)
         assert abs(hits / draws - 2.0 / 3.0) <= 0.01
 
     def test_deterministic_under_fixed_seed(self):
@@ -153,17 +156,14 @@ class TestExplorerChoice:
         probs = transition_probabilities(
             0, [1, 2], pheromone, quality, distance, params()
         )
-        a = [choose_next_explorer(probs, Random(77)) for _ in range(20)]
-        b = [choose_next_explorer(probs, Random(77)) for _ in range(20)]
+        ordered = list(probs.values())
+        a = [_roulette(ordered, Random(77)) for _ in range(20)]
+        b = [_roulette(ordered, Random(77)) for _ in range(20)]
         assert a == b
 
     def test_rejects_unnormalized_table(self):
         with pytest.raises(ValueError):
-            choose_next_explorer({1: 0.4, 2: 0.4}, Random(0))
-
-    def test_empty_table_is_dead_end(self):
-        with pytest.raises(DeadEnd):
-            choose_next_explorer({}, Random(0))
+            _roulette([0.4, 0.4], Random(0))
 
     def test_rounding_fallback_skips_zero_probability(self):
         # the sum passes validation but the running sum stops short of the
@@ -172,9 +172,9 @@ class TestExplorerChoice:
             def random(self):
                 return 1.0 - 2.0**-53
 
-        probs = {1: 0.5, 2: 0.5 - 1e-12, 3: 0.0}
-        assert sum(probs.values()) < 1.0 - 2.0**-53
-        assert choose_next_explorer(probs, TopDraw()) == 2
+        probs = [0.5, 0.5 - 1e-12, 0.0]
+        assert sum(probs) < 1.0 - 2.0**-53
+        assert _roulette(probs, TopDraw()) == 1
 
 
 class TestExploiterChoice:
@@ -218,14 +218,14 @@ class TestExploiterChoice:
 
 
 class TestConstructTour:
+    # one ant's tour, walked by the search's own walker
     def test_forced_line(self, line3):
         quality = {link: 1.0 for link in line3.links}
         pheromone = PheromoneTable.uniform(line3, 1.0)
         for colony, sens in ((Colony.EXPLORER, 0.3), (Colony.EXPLOITER, 0.7)):
             ant = Ant(0, colony, sens)
-            record = construct_tour(
-                ant, 0, 2, line3, pheromone, quality, params(), Random(1)
-            )
+            walk = _Walk(line3, 0, 2, quality, pheromone, params())
+            record = walk.tour(ant, Random(1))
             assert record is not None
             assert record.path == (0, 1, 2)
             assert record.distance == 2.0
@@ -242,13 +242,12 @@ class TestConstructTour:
             quality[link] = 0.0
         pheromone = PheromoneTable.uniform(net, 1.0)
         for ant in init_colonies(params(n_explorers=10, n_exploiters=10), rng):
-            record = construct_tour(
-                ant, 0, 11, net, pheromone, quality, params(), Random(ant.id)
-            )
-            walk = record.path if record else tuple(ant.tour)
-            assert len(set(walk)) == len(walk)
-            for a, b in zip(walk, walk[1:]):
-                assert net.has_link(a, b)
+            walk = _Walk(net, 0, 11, quality, pheromone, params())
+            record = walk.tour(ant, Random(ant.id))
+            path = record.path if record else tuple(ant.tour)
+            assert len(set(path)) == len(path)
+            for a, b in zip(path, path[1:]):
+                assert (a, b) in net.links
                 assert quality[(a, b)] > 0.0
 
     def test_jammed_cut_vertex_fails(self):
@@ -267,24 +266,20 @@ class TestConstructTour:
         pheromone = PheromoneTable.uniform(net, 1.0)
         for colony, sens in ((Colony.EXPLORER, 0.2), (Colony.EXPLOITER, 0.8)):
             ant = Ant(0, colony, sens)
-            assert (
-                construct_tour(ant, 0, 2, net, pheromone, quality, params(), Random(4))
-                is None
-            )
+            walk = _Walk(net, 0, 2, quality, pheromone, params())
+            assert walk.tour(ant, Random(4)) is None
             assert ant.tour == [0]  # partial walk kept
 
     def test_same_source_dest_rejected(self, line3):
-        pheromone = PheromoneTable.uniform(line3, 1.0)
-        ant = Ant(0, Colony.EXPLORER, 0.2)
         with pytest.raises(ValueError):
-            construct_tour(ant, 1, 1, line3, pheromone, {}, params(), Random(0))
+            run_search(line3, 1, 1, params(), Random(0))
 
 
 class TestPheromoneUpdate:
     def test_uniform_init(self, line3):
         table = PheromoneTable.uniform(line3, 2.5)
-        assert set(table.values) == line3.links
-        assert all(v == 2.5 for v in table.values.values())
+        assert set(table) == line3.links
+        assert all(v == 2.5 for v in table.values())
 
     def test_hand_checked_round(self):
         # retention 0.5 on pheromone 1, one tour of distance 2 and quality 1
@@ -312,6 +307,17 @@ class TestPheromoneUpdate:
             global_pheromone_update(table, [tour], p)
         for link in line3.links:
             assert abs(table[link] - 2.0**-10) <= 1e-12
+
+    def test_untouched_links_share_one_decaying_value(self):
+        table = PheromoneTable()
+        table.untouched = 4.0
+        tour = TourRecord(path=(0, 1), distance=2.0, quality=1.0)
+        global_pheromone_update(table, [tour], params(q=1.0, rho=0.5))
+        assert dict(table) == {(0, 1): 2.5}  # 4 * 0.5 + 1 / (2 * 1)
+        assert table[(1, 0)] == table[(7, 9)] == 2.0
+        assert (1, 0) not in table  # reading a link does not store it
+        # reads of held links stay on dict's own lookup
+        assert "__getitem__" not in PheromoneTable.__dict__
 
     def test_unknown_link_rejected(self):
         table = PheromoneTable({(0, 1): 1.0})

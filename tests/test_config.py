@@ -5,6 +5,9 @@ import pytest
 
 import reference_config as ref
 from antjam.config import (
+    MAX_ANT_TOURS,
+    MAX_DURATION,
+    MAX_NODES,
     ConfigError,
     ExplicitNetworkSpec,
     GridNetworkSpec,
@@ -413,6 +416,47 @@ class TestErrors:
             parse_config(MINIMAL + "\n[search]\nrho = 1.5\niterations = 0\n")
         message = str(excinfo.value)
         assert "search.rho" in message and "search.iterations" in message
+
+
+class TestCeilings:
+    # parsing only: nothing here builds or runs a scenario of this size
+    RANDOM = "[network]\nlayout = random\nrange = 10\ncount = {}\n"
+
+    def test_random_node_count(self):
+        assert parse_config(self.RANDOM.format(MAX_NODES)).network.count == MAX_NODES
+        assert errors_of(self.RANDOM.format(MAX_NODES + 1)) == [
+            ("network.count", f"must be <= {MAX_NODES}, got {MAX_NODES + 1}")
+        ]
+
+    def test_grid_node_count(self):
+        grid = "[network]\nlayout = grid\nrange = 12\nrows = {}\ncols = {}\n"
+        network = parse_config(grid.format(100, MAX_NODES // 100)).network
+        assert network.node_count == MAX_NODES
+        assert errors_of(grid.format(317, 317)) == [
+            ("network.rows", f"rows * cols must be <= {MAX_NODES}, got {317 * 317}")
+        ]
+        errors = errors_of(grid.format(MAX_NODES + 1, 1))
+        assert [key for key, _ in errors] == ["network.rows"]
+
+    def test_duration(self):
+        traffic = MINIMAL + "\n[traffic]\nduration = {}\n"
+        assert parse_config(traffic.format(MAX_DURATION)).duration == MAX_DURATION
+        assert errors_of(traffic.format(MAX_DURATION + 1)) == [
+            ("traffic.duration", f"must be <= {MAX_DURATION}, got {MAX_DURATION + 1}")
+        ]
+
+    def test_ant_tours_per_search(self):
+        search = MINIMAL + "\n[search]\nn_explorers = 10\nn_exploiters = 10\n"
+        at_ceiling = search + f"iterations = {MAX_ANT_TOURS // 20}\n"
+        assert parse_config(at_ceiling).search.iterations == MAX_ANT_TOURS // 20
+        tours = 20 * (MAX_ANT_TOURS // 20 + 1)
+        assert errors_of(search + f"iterations = {MAX_ANT_TOURS // 20 + 1}\n") == [
+            ("search.iterations", "(n_explorers + n_exploiters) * iterations "
+             f"must be <= {MAX_ANT_TOURS}, got {tours}")
+        ]
+        # the default 50 iterations count too
+        errors = errors_of(MINIMAL + "\n[search]\nn_explorers = 20001\n")
+        assert [key for key, _ in errors] == ["search.iterations"]
 
 
 class TestRoundTrip:

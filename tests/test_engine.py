@@ -9,7 +9,7 @@ from antjam.config import (
     JammerSpec,
     ScenarioConfig,
 )
-from antjam.engine import Simulation, run_many, run_scenario
+from antjam.engine import Simulation, run_scenario
 from antjam.jammers import RadioParams
 from antjam.reporting import report_json_bytes
 
@@ -403,11 +403,6 @@ class TestDeterminism:
         a = run_scenario(cfg, seed=1)
         b = run_scenario(cfg, seed=2)
         assert report_json_bytes(a) != report_json_bytes(b)
-
-    def test_run_many_orders_by_given_seeds(self):
-        cfg = make_config(self.GRID, duration=5)
-        reports = run_many(cfg, [4, 2, 7])
-        assert [r.seed for r in reports] == [4, 2, 7]
 
     def test_fresh_simulation_does_not_leak_state(self):
         cfg = make_config(self.GRID, jammers=self.JAM, duration=25)

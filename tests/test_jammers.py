@@ -10,7 +10,7 @@ from antjam.jammers import (
     RadioSample,
     deceptive_victims,
     is_jammed,
-    jammed_nodes,
+    jammed_from_samples,
     jammer_emission,
     noise_at,
     path_gain,
@@ -22,6 +22,11 @@ from antjam.network import build_network, grid_network
 
 def make_jammer(kind, power=1.0, position=(0.0, 0.0), **kw):
     return Jammer(kind=kind, position=position, power=power, **kw)
+
+
+def jammed(net, jammers, t, radio, rng):
+    """Nodes drowned out at step t, before debounce, as the engine flags them."""
+    return jammed_from_samples(sample_radio(net, jammers, t, radio, rng))
 
 
 class TestSnr:
@@ -170,15 +175,15 @@ class TestJammedSet:
         base_jammer = make_jammer(
             JammerKind.CONSTANT, power=0.2, position=(20.0, 20.0)
         )
-        base = jammed_nodes(net, [base_jammer], 0, radio, rng)
-        more_power = jammed_nodes(
+        base = jammed(net, [base_jammer], 0, radio, rng)
+        more_power = jammed(
             net,
             [make_jammer(JammerKind.CONSTANT, power=0.9, position=(20.0, 20.0))],
             0,
             radio,
             rng,
         )
-        extra_jammer = jammed_nodes(
+        extra_jammer = jammed(
             net,
             [
                 base_jammer,
@@ -196,7 +201,7 @@ class TestJammedSet:
         net = grid_network(3, 3, 10.0, 12.0, 100.0, pe_index=8)
         radio = RadioParams(floor=1e-9, tx_power=0.1, d0=1.0, gamma=2.0)
         j = make_jammer(JammerKind.CONSTANT, power=0.08, position=(10.0, 10.0))
-        got = jammed_nodes(net, [j], 0, radio, Random(0))
+        got = jammed(net, [j], 0, radio, Random(0))
 
         expected = set()
         for i, node in net.nodes.items():
@@ -223,7 +228,7 @@ class TestJammedSet:
             0,
         )
         j = make_jammer(JammerKind.CONSTANT, power=100.0, position=(9.0, 9.0))
-        got = jammed_nodes(net, [j], 0, RadioParams(), Random(0))
+        got = jammed(net, [j], 0, RadioParams(), Random(0))
         assert 2 not in got  # no neighbor, nothing to receive
 
 

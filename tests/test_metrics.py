@@ -12,7 +12,6 @@ from antjam.metrics import (
     build_link_metrics,
     link_quality,
     measure_link,
-    metrics_csv,
     normalize_metric,
     quality_from_metrics,
     tour_quality,
@@ -197,14 +196,6 @@ class TestMeasureLink:
         assert m.delivery == pytest.approx(0.6, abs=1e-12)
         assert m.loss == pytest.approx(0.6, abs=1e-12)
 
-    def test_bit_error_table_overrides_proxy(self):
-        net = line4()
-        m = measure_link(
-            net, clean_samples(net), 0, 1, bit_error={(0, 1): 0.25}
-        )
-        assert m.bit_error == 0.75
-        assert m.snr == 1.0  # unaffected
-
     def test_unknown_link_rejected(self):
         net = line4()
         with pytest.raises(ValueError, match="no link"):
@@ -223,14 +214,3 @@ class TestTables:
         quality = quality_from_metrics(table)
         for link, m in table.items():
             assert quality[link] == link_quality(m)
-
-    def test_csv_dump_shape(self):
-        net = line4()
-        table = build_link_metrics(net, clean_samples(net))
-        text = metrics_csv(table)
-        lines = text.strip().split("\n")
-        assert lines[0] == "i,j,H,E,B,SNR,Pd,Pl,eta"
-        assert len(lines) == 1 + len(net.links)
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "1"
-        assert len(first) == 9

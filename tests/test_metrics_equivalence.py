@@ -1,11 +1,11 @@
 """The shared-measurement quality table against reference_metrics.py.
 
 The package measures one LinkMetrics per (destination, flagged source) and
-measures a link on its own only when it has a counter or bit-error entry.
-None of that may change a result: on generated networks, while relays die
-and flags, samples, counters and bit-error tables change between builds,
-the metrics table and the quality table must equal the per-link original
-in order and bit for bit, and invalid entries must raise the same error.
+measures a link on its own only when it has a counter. None of that may
+change a result: on generated networks, while relays die and flags, samples
+and counters change between builds, the metrics table and the quality table
+must equal the per-link original in order and bit for bit, and an invalid
+counter must raise the same error.
 """
 
 from datetime import timedelta
@@ -42,15 +42,6 @@ def counters_of(rng, links, bad):
     return counters
 
 
-def bit_errors_of(rng, links, bad):
-    if rng.random() < 0.4:
-        return None
-    table = {link: rng.choice([0.0, 0.25, 1.0]) for link in links if rng.random() < 0.3}
-    if bad and links:
-        table[rng.choice(links)] = 1.5
-    return table
-
-
 @st.composite
 def metric_cases(draw):
     rng = Random(draw(st.integers(0, 2**32 - 1)))
@@ -84,7 +75,7 @@ def metric_cases(draw):
                  MetricTotals(20.0, 10.0, 25.0)]
             )
         )
-        bad = draw(st.sampled_from([None, None, None, "counter", "bit_error"]))
+        bad = draw(st.sampled_from([None, None, None, "counter"]))
         builds.append((drains, flagged, samples, totals, bad, rng.random()))
     return specs, pe, builds
 
@@ -100,8 +91,7 @@ def test_matches_reference_metrics(case):
         rng = Random(seed)
         links = sorted(net.links)
         counters = counters_of(rng, links, bad == "counter")
-        bit_error = bit_errors_of(rng, links, bad == "bit_error")
-        args = (net, samples, counters, totals, flagged, bit_error)
+        args = (net, samples, counters, totals, flagged)
         try:
             want = ref.build_link_metrics(*args)
         except ValueError as exc:
@@ -117,22 +107,19 @@ def test_matches_reference_metrics(case):
 
 
 @pytest.mark.parametrize(
-    "counters, bit_error",
-    [
-        ({(2, 1): LinkCounters(attempts=2, delivered=3, lost=0)}, None),
-        (None, {(2, 1): 1.5}),
-    ],
-    ids=["delivered-over-attempts", "bit-error-over-one"],
+    "counters",
+    [{(2, 1): LinkCounters(attempts=2, delivered=3, lost=0)}],
+    ids=["delivered-over-attempts"],
 )
-def test_invalid_entries_raise_like_measure_link(counters, bit_error):
+def test_invalid_entries_raise_like_measure_link(counters):
     # (0, 1) is measured first, so (2, 1) could reuse its measurement if
     # the entry were ignored
     net = build_network([((0.0, 0.0), 1.0, 1.5), ((1.0, 0.0), 1.0, 1.5),
                          ((2.0, 0.0), 1.0, 1.5)], 0)
     samples = {i: RadioSample(5.0, 1.0) for i in net.nodes}
     with pytest.raises(ValueError) as want:
-        measure_link(net, samples, 2, 1, counters, bit_error=bit_error)
+        measure_link(net, samples, 2, 1, counters)
     with pytest.raises(ValueError) as got:
-        build_link_metrics(net, samples, counters, bit_error=bit_error)
+        build_link_metrics(net, samples, counters)
     assert str(got.value) == str(want.value)
     assert "outside" in str(got.value)

@@ -29,30 +29,30 @@ class TestDistance:
 
 class TestBuildNetwork:
     def test_unit_square_has_four_side_links(self, unit_square):
-        assert unit_square.link_pairs == frozenset(
-            {(0, 1), (1, 2), (2, 3), (0, 3)}
-        )
+        assert {(a, b) for a, b in unit_square.links if a < b} == {
+            (0, 1), (1, 2), (2, 3), (0, 3)
+        }
         # diagonals are sqrt(2) > 1.2 apart
-        assert not unit_square.has_link(0, 2)
-        assert not unit_square.has_link(1, 3)
+        assert (0, 2) not in unit_square.links
+        assert (1, 3) not in unit_square.links
 
     def test_link_needs_mutual_range(self):
         # node 1 can hear node 0 but not vice versa: no link
         net = build_network(
             [((0.0, 0.0), 10.0, 0.5), ((1.0, 0.0), 10.0, 5.0)], 1
         )
-        assert net.link_pairs == frozenset()
+        assert net.links == set()
 
     def test_distances_symmetric_and_positive(self, unit_square):
         for (i, j) in unit_square.links:
-            d = unit_square.link_distance(i, j)
+            d = unit_square.distance[(i, j)]
             assert d > 0
-            assert d == unit_square.link_distance(j, i)
+            assert d == unit_square.distance[(j, i)]
 
     def test_neighbors_match_links(self, unit_square):
         for i in unit_square.nodes:
             for j in unit_square.neighbors(i):
-                assert unit_square.has_link(i, j)
+                assert (i, j) in unit_square.links
         assert unit_square.neighbors(0) == {1, 3}
 
     def test_coincident_positions_rejected(self):
@@ -115,8 +115,8 @@ class TestDrainEnergy:
         for i in unit_square.nodes:
             assert 1 not in unit_square.neighbors(i)
         assert unit_square.neighbors(1) == set()
-        assert not unit_square.has_link(0, 1)
-        assert not unit_square.has_link(1, 2)
+        assert (0, 1) not in unit_square.links
+        assert (1, 2) not in unit_square.links
 
     def test_negative_drain_rejected(self, unit_square):
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestDrainEnergy:
     def test_partial_drain_keeps_links(self, unit_square):
         unit_square.drain_energy(1, 99.5)
         assert unit_square.nodes[1].alive
-        assert unit_square.has_link(0, 1)
+        assert (0, 1) in unit_square.links
 
 
 class TestHopCounts:
@@ -156,7 +156,7 @@ class TestGenerators:
         assert [a.nodes[i].position for i in a.nodes] == [
             b.nodes[i].position for i in b.nodes
         ]
-        assert a.link_pairs == b.link_pairs
+        assert a.links == b.links
 
     def test_random_connected_flag(self):
         net = random_geometric_network(

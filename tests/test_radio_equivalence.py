@@ -116,7 +116,6 @@ def radio_cases(draw):
             (rng.randrange(count), rng.choice([0.5, 1.0, 5.0]))
             for _ in range(rng.choice([0, 0, 0, 1, 2]))
         ]
-        channel = draw(st.sampled_from([None, True, False]))
         triggered = [rng.random() < 0.5 for _ in jammer_specs]
         retune = None
         if rng.random() < 0.2:
@@ -125,7 +124,7 @@ def radio_cases(draw):
         repower = None
         if jammer_specs and rng.random() < 0.2:
             repower = (rng.randrange(len(jammer_specs)), rng.choice([0.001, 0.05, 1.0]))
-        steps.append((drains, channel, triggered, retune, repower))
+        steps.append((drains, triggered, retune, repower))
     return specs, jammer_specs, radio, steps, draw(st.integers(0, 2**32 - 1))
 
 
@@ -148,7 +147,7 @@ def test_matches_reference_radio(case):
     mine, theirs = make_jammers(jammer_specs), make_jammers(jammer_specs)
     rng_a, rng_b = Random(seed), Random(seed)
     radio = dataclasses.replace(radio)  # retuned below; keep the drawn case intact
-    for t, (drains, channel, triggered, retune, repower) in enumerate(steps):
+    for t, (drains, triggered, retune, repower) in enumerate(steps):
         for i, amount in drains:
             net.drain_energy(i, amount)
         for a, b, flag in zip(mine, theirs, triggered):
@@ -161,10 +160,10 @@ def test_matches_reference_radio(case):
         with mock.patch.object(
             jammers_mod, "jammer_emission", wraps=jammers_mod.jammer_emission
         ) as emission:
-            got = sample_radio(net, mine, t, radio, rng_a, channel)
+            got = sample_radio(net, mine, t, radio, rng_a)
         # each jammer once per step, and only when some node is sampled
         assert emission.call_count == (len(mine) if got else 0)
-        want = ref.sample_radio(net, theirs, t, radio, rng_b, channel)
+        want = ref.sample_radio(net, theirs, t, radio, rng_b)
         assert list(got.items()) == list(want.items())
         assert jammed_from_samples(got) == {
             i for i, sample in want.items() if sample.p_signal / sample.p_noise < 1.0
@@ -176,8 +175,8 @@ def test_matches_reference_radio(case):
         for i in sorted(net.nodes):
             assert reference_signal(net, i, radio) == ref.reference_signal(net, i, radio)
         probe = t % len(specs)
-        assert noise_at(net, mine, probe, t, radio, rng_a, channel) == ref.noise_at(
-            net, theirs, probe, t, radio, rng_b, channel
+        assert noise_at(net, mine, probe, t, radio, rng_a) == ref.noise_at(
+            net, theirs, probe, t, radio, rng_b
         )
         assert rng_a.getstate() == rng_b.getstate()
 

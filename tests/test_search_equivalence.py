@@ -3,8 +3,10 @@
 The package's search reads pheromone, quality and distance through lazily
 built candidate rows, per-round weight caches and a sparse pheromone table.
 None of that may change a result: on generated small networks both searches
-must return equal best tours, iteration stats, transmit counts and final
-pheromone tables, item for item and in order.
+must return equal best tours, iteration stats and transmit counts, and equal
+final pheromone on every link. The reference's table holds every link; the
+package's holds the links tours used, and every other link reads its
+shared untouched value.
 """
 
 from datetime import timedelta
@@ -62,4 +64,11 @@ def test_matches_reference_search(case):
     assert got.best == want.best
     assert got.stats == want.stats
     assert got.transmit_counts == want.transmit_counts
-    assert list(got.pheromone.values.items()) == list(want.pheromone.values.items())
+    # the package keeps only the links tours used; any other reads the
+    # shared untouched value
+    links = sorted(net.links)
+    assert list(want.pheromone) == links
+    assert set(got.pheromone) <= set(links)
+    assert [got.pheromone[link] for link in links] == [
+        want.pheromone[link] for link in links
+    ]
