@@ -99,11 +99,6 @@ class Jammer:
         if not self.sense_range > 0:
             raise ValueError("sense_range must be positive")
 
-    def reset(self) -> None:
-        self.triggered = False
-        self._phase = None
-        self._phase_end = 0
-
 
 def path_gain(distance: float, d0: float, gamma: float) -> float:
     """Power gain over distance: 1 inside the reference distance, (d0/d)^gamma beyond."""

@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 Position = tuple[float, float]
 
@@ -21,10 +20,10 @@ NodeSpec = tuple[Position, float, float]
 _CELL_PAD = 1.0 + 2.0**-20
 _MAX_CELL_INDEX = 2.0**30
 
-
-class NodeRole(Enum):
-    SENSOR = "sensor"
-    PROCESSING_ELEMENT = "processing-element"
+# Ceiling on directed links per network, checked as the build adds them: a
+# mean degree of 20 at the 100,000-node ceiling. The node ceiling alone does
+# not bound links, since a range covering the field links every pair.
+MAX_LINKS = 2_000_000
 
 
 def euclidean_distance(a: Position, b: Position) -> float:
@@ -34,13 +33,12 @@ def euclidean_distance(a: Position, b: Position) -> float:
 
 @dataclass
 class Node:
-    """One radio node. Exactly one node per network acts as the processing element."""
+    """One radio node; the network's pe_id names the processing element."""
 
     id: int
     position: Position
     energy: float
     radio_range: float
-    role: NodeRole = NodeRole.SENSOR
     alive: bool = True
 
     def __post_init__(self) -> None:
@@ -56,9 +54,10 @@ class Network:
     """Sensor field with symmetric links between mutually in-range nodes.
 
     A link (i, j) exists iff distance(i, j) <= min(range_i, range_j), so link
-    existence is mutual. Links are stored as directed pairs because pheromone
-    and link metrics attach per direction. Dead nodes keep their Node record
-    but lose every incident link, which removes them from all neighborhoods.
+    existence is mutual. Each directed link is one key of `distance`, because
+    pheromone and link metrics attach per direction; `links` is a live view of
+    those keys. Dead nodes keep their Node record but lose every incident
+    link, which removes them from all neighborhoods.
 
     Positions never move after the build, so radio geometry is cached per
     network: each node's nearest-live-neighbor distance (dropped around a
@@ -79,12 +78,6 @@ class Network:
         if pe_id not in self.nodes:
             raise ValueError(f"unknown processing element id {pe_id}")
         self.pe_id = pe_id
-        for node in self.nodes.values():
-            node.role = (
-                NodeRole.PROCESSING_ELEMENT if node.id == pe_id else NodeRole.SENSOR
-            )
-
-        self.links: set[tuple[int, int]] = set()
         self.distance: dict[tuple[int, int], float] = {}
         self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
         self._nearest: dict[int, float | None] = {}
@@ -126,9 +119,17 @@ class Network:
                 if d <= min(na.radio_range, nb.radio_range):
                     self._add_link(a, b, d)
 
+    @property
+    def links(self) -> KeysView[tuple[int, int]]:
+        """Every directed link (i, j), as a live view of the keys of `distance`."""
+        return self.distance.keys()
+
     def _add_link(self, a: int, b: int, d: float) -> None:
-        self.links.add((a, b))
-        self.links.add((b, a))
+        if len(self.distance) + 2 > MAX_LINKS:
+            raise ValueError(
+                f"network exceeds {MAX_LINKS} directed links; "
+                "shrink the radio range or the node count"
+            )
         self.distance[(a, b)] = d
         self.distance[(b, a)] = d
         self._adjacency[a].add(b)
@@ -182,10 +183,7 @@ class Network:
         self._nearest.pop(i, None)
         for j in list(self._adjacency[i]):
             self._nearest.pop(j, None)
-            self.links.discard((i, j))
-            self.links.discard((j, i))
-            self.distance.pop((i, j), None)
-            self.distance.pop((j, i), None)
+            del self.distance[(i, j)], self.distance[(j, i)]
             self._adjacency[j].discard(i)
         self._adjacency[i].clear()
 

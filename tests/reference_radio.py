@@ -56,12 +56,6 @@ def reference_links(
     return links, distance, adjacency
 
 
-def _jammer_active(jammer: Jammer, channel_active: bool | None) -> bool:
-    if channel_active is None:
-        return jammer.triggered
-    return channel_active
-
-
 def noise_at(
     net: Network,
     jammers: Iterable[Jammer],
@@ -69,17 +63,12 @@ def noise_at(
     t: int,
     radio: RadioParams,
     rng: Random,
-    channel_active: bool | None = None,
 ) -> float:
-    """Total noise power at a node: floor plus every jammer's attenuated emission.
-
-    channel_active=None reads each reactive jammer's own `triggered` state; a
-    bool applies to all of them (handy in direct tests).
-    """
+    """Total noise power at a node: floor plus every jammer's attenuated emission."""
     pos = net.node(node_id).position
     total = radio.floor
     for jammer in jammers:
-        emitted = jammer_emission(jammer, t, _jammer_active(jammer, channel_active), rng)
+        emitted = jammer_emission(jammer, t, jammer.triggered, rng)
         if emitted > 0.0:
             d = euclidean_distance(jammer.position, pos)
             total += emitted * path_gain(d, radio.d0, radio.gamma)
@@ -104,7 +93,6 @@ def sample_radio(
     t: int,
     radio: RadioParams,
     rng: Random,
-    channel_active: bool | None = None,
 ) -> dict[int, RadioSample]:
     """Per-node RadioSample for one step, for every live node that can hear a neighbor."""
     jammers = list(jammers)
@@ -113,7 +101,7 @@ def sample_radio(
         signal = reference_signal(net, i, radio)
         if signal is None:
             continue
-        noise = noise_at(net, jammers, i, t, radio, rng, channel_active)
+        noise = noise_at(net, jammers, i, t, radio, rng)
         samples[i] = RadioSample(signal, noise)
     return samples
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from textwrap import dedent
 
-from antjam import cli
+from antjam import cli, network
 from antjam.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -218,6 +218,12 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error: search.rho:" in err
+
+    def test_link_ceiling_is_config_error(self, config_file, monkeypatch, capsys):
+        monkeypatch.setattr(network, "MAX_LINKS", 6)  # the diamond has 8
+        code = main(["run", "--config", str(config_file), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "error: network exceeds 6 directed links" in capsys.readouterr().err
 
     def test_unwritable_output(self, config_file, tmp_path, capsys):
         code = main(["run", "--config", str(config_file), "--seed", "1",

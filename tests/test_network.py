@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from antjam import network
 from antjam.network import (
     Network,
     Node,
@@ -71,9 +72,19 @@ class TestBuildNetwork:
             build_network(specs, 5)
 
     def test_single_processing_element(self, unit_square):
-        roles = [n.role.value for n in unit_square.nodes.values()]
-        assert roles.count("processing-element") == 1
-        assert unit_square.nodes[2].role.value == "processing-element"
+        assert unit_square.pe_id == 2
+
+    def test_link_ceiling(self, unit_square, monkeypatch):
+        specs = [(n.position, 100.0, 1.2) for n in unit_square.nodes.values()]
+        monkeypatch.setattr(network, "MAX_LINKS", 8)
+        assert len(build_network(specs, 2).links) == 8
+        monkeypatch.setattr(network, "MAX_LINKS", 7)
+        with pytest.raises(ValueError, match="exceeds 7 directed links"):
+            build_network(specs, 2)
+        with pytest.raises(ValueError, match="exceeds 7 directed links"):
+            random_geometric_network(
+                4, 1.0, 1.0, 2.0, 100.0, Random(0), connected=True
+            )
 
     def test_node_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +128,8 @@ class TestDrainEnergy:
         assert unit_square.neighbors(1) == set()
         assert (0, 1) not in unit_square.links
         assert (1, 2) not in unit_square.links
+        assert set(unit_square.links) == set(unit_square.distance)
+        assert "links" not in vars(unit_square)
 
     def test_negative_drain_rejected(self, unit_square):
         with pytest.raises(ValueError):
