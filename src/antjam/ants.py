@@ -15,7 +15,8 @@ so results do not depend on construction order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Mapping, Sequence
@@ -45,8 +46,6 @@ class Ant:
     id: int
     colony: Colony
     sensitivity: float
-    tour: list[int] = field(default_factory=list)
-    distance: float = 0.0
 
     def __post_init__(self) -> None:
         lo, hi = COLONY_INTERVALS[self.colony]
@@ -54,10 +53,6 @@ class Ant:
             raise ValueError(
                 f"ant {self.id}: sensitivity {self.sensitivity} outside ({lo}, {hi})"
             )
-
-    def reset(self) -> None:
-        self.tour = []
-        self.distance = 0.0
 
 
 @dataclass
@@ -273,8 +268,8 @@ class _Walk:
         self.beta = params.beta
         self.rows: dict[int, tuple[list[int], list[float], list[float]]] = {}
         self.weights: dict[int, tuple[list[int], list[float]]] = {}
-        # the first exploiter's walk this round: tour, distance, record
-        self.greedy: tuple | None = None
+        # the first exploiter's walk this round: path and record
+        self.greedy: tuple[tuple[int, ...], TourRecord | None] | None = None
 
     def new_round(self) -> None:
         self.weights = {}
@@ -306,31 +301,30 @@ class _Walk:
         self.weights[node] = entry = (ids, weights)
         return entry
 
-    def tour(self, ant: Ant, rng: Random) -> TourRecord | None:
+    def tour(
+        self, ant: Ant, rng: Random
+    ) -> tuple[tuple[int, ...], TourRecord | None]:
         """Walk one ant from source toward dest, never revisiting a node.
 
-        Returns None when the ant dead-ends. The ant keeps its partial tour
-        and distance either way.
+        Returns the path walked and its TourRecord. On a dead end the path
+        stops where the ant got stuck and the record is None.
         """
         if ant.colony is Colony.EXPLORER:
-            return self._walk(ant, rng, explorer=True)
-        # An exploiter's walk reads neither its rng nor its own state, so
+            return self._walk(rng, explorer=True)
+        # An exploiter's walk reads neither its rng nor its sensitivity, so
         # every exploiter in a round walks the first one's tour.
         if self.greedy is None:
-            record = self._walk(ant, rng, explorer=False)
-            self.greedy = (tuple(ant.tour), ant.distance, record)
-            return record
-        tour, walked, record = self.greedy
-        ant.tour, ant.distance = list(tour), walked
-        return record
+            self.greedy = self._walk(rng, explorer=False)
+        return self.greedy
 
-    def _walk(self, ant: Ant, rng: Random, explorer: bool) -> TourRecord | None:
+    def _walk(
+        self, rng: Random, explorer: bool
+    ) -> tuple[tuple[int, ...], TourRecord | None]:
         source, dest = self.source, self.dest
         distance = self.net.distance
         round_weights, new_weights = self.weights, self._weights
-        ant.reset()
-        tour = ant.tour
-        tour.append(source)
+        tour = [source]
+        walked = 0.0
         visited = {source}
         current = source
         while current != dest:
@@ -342,13 +336,14 @@ class _Walk:
             else:
                 k = _argmax([weights[k] for k in keep])
             if k is None:
-                return None
+                return tuple(tour), None
             nxt = ids[keep[k]]
             tour.append(nxt)
-            ant.distance += distance[(current, nxt)]
+            walked += distance[(current, nxt)]
             visited.add(nxt)
             current = nxt
-        return TourRecord(tuple(tour), ant.distance, tour_quality(tour, self.quality))
+        path = tuple(tour)
+        return path, TourRecord(path, walked, tour_quality(tour, self.quality))
 
 
 def global_pheromone_update(
@@ -411,7 +406,7 @@ class SearchResult:
     pheromone: PheromoneTable
     stats: list[IterationStats]
     # per-node count of hops transmitted by ants, for energy accounting
-    transmit_counts: dict[int, int]
+    transmit_counts: Counter[int]
 
     @property
     def found(self) -> bool:
@@ -466,24 +461,19 @@ def run_search(
     token = rng.getrandbits(64)
     best: TourRecord | None = None
     best_score = 0.0
-    transmit_counts: dict[int, int] = {}
+    transmit_counts: Counter[int] = Counter()
     stats: list[IterationStats] = []
 
     for iteration in range(params.iterations):
-        # construction phase; each ant on its own substream
+        # One pass in ant-id order, each ant on its own substream: walk, then
+        # adapt and track the best. Sensitivity enters no weight and pheromone
+        # changes only in the batch update, so no walk sees another's fold.
         walk.new_round()
-        outcomes: list[tuple[Ant, TourRecord | None]] = []
-        for ant in ants:
-            sub = Random(f"{token}:{iteration}:{ant.id}")
-            record = walk.tour(ant, sub)
-            outcomes.append((ant, record))
-            for hop_from in ant.tour[:-1]:
-                transmit_counts[hop_from] = transmit_counts.get(hop_from, 0) + 1
-
-        # serial fold in ant-id order: adaptation, then best-tour tracking
         succeeded: list[TourRecord] = []
         scores: list[float] = []
-        for ant, record in outcomes:
+        for ant in ants:
+            path, record = walk.tour(ant, Random(f"{token}:{iteration}:{ant.id}"))
+            transmit_counts.update(path[:-1])
             if record is None:
                 adapt_sensitivity(ant, False, 0.0, best_score, params)
                 continue

@@ -97,7 +97,8 @@ class ScenarioState:
     flags: set[int] = field(default_factory=set)
     prev_flags: set[int] = field(default_factory=set)
     streaks: dict[int, int] = field(default_factory=dict)
-    newly_dead: set[int] = field(default_factory=set)
+    newly_dead: set[int] = field(default_factory=set)  # since the last reroute
+    unreported_dead: set[int] = field(default_factory=set)  # since the last step
     last_transmitters: set[int] = field(default_factory=set)
     last_samples: dict = field(default_factory=dict)
     emit_acc: dict[int, float] = field(default_factory=dict)
@@ -142,6 +143,7 @@ class Simulation:
         self.net.drain_energy(node_id, amount)
         if was_alive and not node.alive:
             self.state.newly_dead.add(node_id)
+            self.state.unreported_dead.add(node_id)
 
     def _quality_table(self, samples, flags: set[int]):
         table = build_link_metrics(
@@ -178,8 +180,10 @@ class Simulation:
         quality = self._quality_table(samples, set())
         self.state.last_samples = samples
         for src in sorted(self.state.routes):
-            result = self._search(src, quality)
-            self.state.routes[src] = result.best.path if result.best else None
+            # an earlier source's ants may have drained this one to death
+            if self.net.node(src).alive:
+                result = self._search(src, quality)
+                self.state.routes[src] = result.best.path if result.best else None
 
     # ----- per-step phases -------------------------------------------
 
@@ -276,8 +280,9 @@ class Simulation:
         st.trace.append(
             [t, st.sent, st.delivered, st.dropped, len(st.packets), len(flags)]
         )
-        for i in sorted(st.newly_dead):
+        for i in sorted(st.unreported_dead):
             events.append(Event(t, "death", node=i))
+        st.unreported_dead = set()
         st.time = t + 1
         return events
 
@@ -310,8 +315,11 @@ class Simulation:
             if not self.net.node(src).alive:
                 st.routes[src] = None
                 continue
-            result = self._search(src, quality)
-            if result.best is None:
+            # a deceptive jammer's fake traffic can drain the PE itself
+            best = None
+            if self.net.node(self.net.pe_id).alive:
+                best = self._search(src, quality).best
+            if best is None:
                 st.routes[src] = None
                 if old is not None:
                     events.append(
@@ -319,7 +327,7 @@ class Simulation:
                               detail="no live path to the processing element")
                     )
             else:
-                new_route = result.best.path
+                new_route = best.path
                 if new_route != old:
                     st.reroutes += 1
                     events.append(

@@ -217,12 +217,5 @@ def build_link_metrics(
 def quality_from_metrics(
     table: Mapping[tuple[int, int], LinkMetrics],
 ) -> dict[tuple[int, int], float]:
-    """Quality of every link, scoring each shared LinkMetrics object once."""
-    scored: dict[int, float] = {}
-    quality: dict[tuple[int, int], float] = {}
-    for link, m in table.items():
-        q = scored.get(id(m))
-        if q is None:
-            q = scored[id(m)] = link_quality(m)
-        quality[link] = q
-    return quality
+    """Quality of every link in the table, in the table's order."""
+    return {link: link_quality(m) for link, m in table.items()}

@@ -1,10 +1,10 @@
 """The per-link quality table the package shipped first, kept as a reference.
 
 `build_link_metrics` here calls `measure_link` once for every directed link
-and `quality_from_metrics` scores every link on its own. The package
-measures one shared `LinkMetrics` per (destination, flagged source) and
-scores each shared object once; tests/test_metrics_equivalence.py checks
-that both give equal tables.
+and `quality_from_metrics` scores every link on its own, as the package's
+does. The package measures one shared `LinkMetrics` per (destination,
+flagged source); tests/test_metrics_equivalence.py checks that both give
+equal tables.
 """
 
 from __future__ import annotations

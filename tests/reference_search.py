@@ -130,7 +130,7 @@ def construct_tour(
     for endpoint in (source, dest):
         if not net.node(endpoint).alive:
             raise ValueError(f"node {endpoint} is dead")
-    ant.reset()
+    ant.distance = 0.0
     ant.tour = [source]
     ant.tabu = [(source, net.node(source).energy)]
     visited = {source}

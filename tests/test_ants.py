@@ -225,7 +225,7 @@ class TestConstructTour:
         for colony, sens in ((Colony.EXPLORER, 0.3), (Colony.EXPLOITER, 0.7)):
             ant = Ant(0, colony, sens)
             walk = _Walk(line3, 0, 2, quality, pheromone, params())
-            record = walk.tour(ant, Random(1))
+            path, record = walk.tour(ant, Random(1))
             assert record is not None
             assert record.path == (0, 1, 2)
             assert record.distance == 2.0
@@ -243,8 +243,7 @@ class TestConstructTour:
         pheromone = PheromoneTable.uniform(net, 1.0)
         for ant in init_colonies(params(n_explorers=10, n_exploiters=10), rng):
             walk = _Walk(net, 0, 11, quality, pheromone, params())
-            record = walk.tour(ant, Random(ant.id))
-            path = record.path if record else tuple(ant.tour)
+            path, record = walk.tour(ant, Random(ant.id))
             assert len(set(path)) == len(path)
             for a, b in zip(path, path[1:]):
                 assert (a, b) in net.links
@@ -267,8 +266,7 @@ class TestConstructTour:
         for colony, sens in ((Colony.EXPLORER, 0.2), (Colony.EXPLOITER, 0.8)):
             ant = Ant(0, colony, sens)
             walk = _Walk(net, 0, 2, quality, pheromone, params())
-            assert walk.tour(ant, Random(4)) is None
-            assert ant.tour == [0]  # partial walk kept
+            assert walk.tour(ant, Random(4)) == ((0,), None)  # partial walk kept
 
     def test_same_source_dest_rejected(self, line3):
         with pytest.raises(ValueError):

@@ -383,6 +383,41 @@ class TestEnergyDeath:
         assert not sim.net.node(1).alive
         assert_conserved(report)
 
+    def test_death_reported_once_without_rerouting(self):
+        net = ExplicitNetworkSpec(
+            nodes=((0.0, 0.0, 100.0, 12.0), (10.0, 0.0, 2.5, 12.0),
+                   (20.0, 0.0, 100.0, 12.0)),
+            pe=2,
+        )
+        sim = Simulation(make_config(net, duration=8, reroute=False), seed=1)
+        death_steps = []
+        for _ in range(8):
+            death_steps += [e.step for e in sim.step() if e.kind == "death"]
+        assert death_steps == [4]
+        assert not sim.net.node(1).alive
+
+    def test_source_drained_by_an_earlier_search_gets_no_route(self):
+        grid = GridNetworkSpec(rows=3, cols=3, spacing=10.0, radio_range=12.0,
+                               energy=1.0, pe=8)
+        cfg = make_config(grid, sources=(0, 1, 3), ant_energy_cost=1.0,
+                          duration=5)
+        sim = Simulation(cfg, seed=1)
+        assert not sim.net.node(1).alive
+        assert sim.state.routes[1] is None
+        assert_conserved(sim.run())
+
+    def test_processing_element_drained_by_a_deceptive_jammer(self):
+        grid = GridNetworkSpec(rows=3, cols=3, spacing=10.0, radio_range=12.0,
+                               energy=3.0, pe=4)
+        jam = (JammerSpec(kind="deceptive", x=10.0, y=10.0, power=0.01),)
+        sim = Simulation(make_config(grid, jammers=jam, duration=10), seed=1)
+        for _ in range(10):
+            sim.step()
+            sim.detect_and_reroute()
+        assert not sim.net.node(4).alive
+        assert all(route is None for route in sim.state.routes.values())
+        assert_conserved(sim.report())
+
 
 class TestDeterminism:
     GRID = GridNetworkSpec(rows=4, cols=4, spacing=10.0, radio_range=12.0, pe=15)

@@ -1,6 +1,8 @@
 """README's library examples run as written, and the public names resolve."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import antjam
@@ -29,3 +31,32 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
 def test_every_public_name_resolves():
     for name in antjam.__all__:
         assert getattr(antjam, name) is not None, name
+
+
+# Imports antjam and its CLI, runs a small jammed scenario through to report
+# bytes, and prints every newly loaded top-level module outside the standard
+# library. `__mp_main__` is the alias multiprocessing registers for the main
+# module when the CLI imports its process pool.
+STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+import antjam, antjam.cli
+from antjam.config import GridNetworkSpec, JammerSpec, ScenarioConfig
+from antjam.reporting import report_json_bytes
+cfg = ScenarioConfig(
+    network=GridNetworkSpec(3, 3, 10.0, 12.0, pe=8),
+    jammers=(JammerSpec("random", 10.0, 10.0, 0.01),),
+    duration=10,
+)
+assert report_json_bytes(antjam.run_scenario(cfg, 1))
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(*sorted(loaded - sys.stdlib_module_names - {"antjam", "__mp_main__"}))
+"""
+
+
+def test_runtime_loads_only_the_standard_library():
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
