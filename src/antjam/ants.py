@@ -292,22 +292,25 @@ class _Walk:
 
     def _weights(self, node: int) -> tuple[list[int], list[float]]:
         ids, quals, inv_d_beta = self.rows.get(node) or self._row(node)
-        pheromone, alpha = self.pheromone, self.alpha
+        # dict.get with the untouched value, not the Python-level __missing__
+        pheromone_of, untouched = self.pheromone.get, self.pheromone.untouched
+        alpha = self.alpha
         weights = []
         for u, q, d in zip(ids, quals, inv_d_beta):
-            base = pheromone[(node, u)] * q
+            base = pheromone_of((node, u), untouched) * q
             # the rule of _weight, with (1/distance)^beta taken from the row
             weights.append(base**alpha * d if base != 0.0 else 0.0)
         self.weights[node] = entry = (ids, weights)
         return entry
 
     def tour(
-        self, ant: Ant, rng: Random
+        self, ant: Ant, rng: Random | None
     ) -> tuple[tuple[int, ...], TourRecord | None]:
         """Walk one ant from source toward dest, never revisiting a node.
 
         Returns the path walked and its TourRecord. On a dead end the path
-        stops where the ant got stuck and the record is None.
+        stops where the ant got stuck and the record is None. Only an
+        explorer reads rng; an exploiter may pass None.
         """
         if ant.colony is Colony.EXPLORER:
             return self._walk(rng, explorer=True)
@@ -318,7 +321,7 @@ class _Walk:
         return self.greedy
 
     def _walk(
-        self, rng: Random, explorer: bool
+        self, rng: Random | None, explorer: bool
     ) -> tuple[tuple[int, ...], TourRecord | None]:
         source, dest = self.source, self.dest
         distance = self.net.distance
@@ -329,15 +332,19 @@ class _Walk:
         current = source
         while current != dest:
             ids, weights = round_weights.get(current) or new_weights(current)
-            keep = [k for k, u in enumerate(ids) if u not in visited]
+            # A visited candidate weighs zero: it adds nothing to any sum and
+            # can be neither drawn nor the argmax, as if it were left out.
+            open_weights = [
+                0.0 if u in visited else w for u, w in zip(ids, weights)
+            ]
             if explorer:
-                probs = _normalize([weights[k] for k in keep])
+                probs = _normalize(open_weights)
                 k = None if probs is None else _roulette(probs, rng)
             else:
-                k = _argmax([weights[k] for k in keep])
+                k = _argmax(open_weights)
             if k is None:
                 return tuple(tour), None
-            nxt = ids[keep[k]]
+            nxt = ids[k]
             tour.append(nxt)
             walked += distance[(current, nxt)]
             visited.add(nxt)
@@ -472,7 +479,11 @@ def run_search(
         succeeded: list[TourRecord] = []
         scores: list[float] = []
         for ant in ants:
-            path, record = walk.tour(ant, Random(f"{token}:{iteration}:{ant.id}"))
+            # only an explorer draws; an exploiter's substream would go unread
+            rng = None
+            if ant.colony is Colony.EXPLORER:
+                rng = Random(f"{token}:{iteration}:{ant.id}")
+            path, record = walk.tour(ant, rng)
             transmit_counts.update(path[:-1])
             if record is None:
                 adapt_sensitivity(ant, False, 0.0, best_score, params)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from typing import Mapping
 
 from .ants import run_search
 from .config import (
@@ -28,6 +29,7 @@ from .config import (
 )
 from .jammers import (
     JammerKind,
+    RadioSample,
     deceptive_victims,
     jammed_from_samples,
     sample_radio,
@@ -100,7 +102,7 @@ class ScenarioState:
     newly_dead: set[int] = field(default_factory=set)  # since the last reroute
     unreported_dead: set[int] = field(default_factory=set)  # since the last step
     last_transmitters: set[int] = field(default_factory=set)
-    last_samples: dict = field(default_factory=dict)
+    last_samples: Mapping[int, RadioSample] = field(default_factory=dict)
     emit_acc: dict[int, float] = field(default_factory=dict)
     counters: dict[tuple[int, int], LinkCounters] = field(default_factory=dict)
     sent: int = 0
@@ -136,12 +138,7 @@ class Simulation:
     # ----- internals -------------------------------------------------
 
     def _drain(self, node_id: int, amount: float) -> None:
-        if amount <= 0.0:
-            return
-        node = self.net.node(node_id)
-        was_alive = node.alive
-        self.net.drain_energy(node_id, amount)
-        if was_alive and not node.alive:
+        if amount > 0.0 and self.net.drain_energy(node_id, amount):
             self.state.newly_dead.add(node_id)
             self.state.unreported_dead.add(node_id)
 
@@ -192,13 +189,14 @@ class Simulation:
         st = self.state
         t = st.time
         cfg = self.config
+        nodes = self.net.nodes
         events: list[Event] = []
 
         # 1. reactive jammers hear last step's transmissions (one-step latency)
         for jammer in self.jammers:
             if jammer.kind is JammerKind.REACTIVE:
                 jammer.triggered = any(
-                    euclidean_distance(jammer.position, self.net.node(i).position)
+                    euclidean_distance(jammer.position, nodes[i].position)
                     <= jammer.sense_range
                     for i in st.last_transmitters
                 )
@@ -228,18 +226,21 @@ class Simulation:
         # 4. packets advance one hop
         transmitters: set[int] = set()
         kept: list[Packet] = []
+        counters = st.counters
         for pkt in st.packets:
             cur = pkt.route[pkt.idx]
             nxt = pkt.route[pkt.idx + 1]
-            if cur in st.flags or not self.net.node(cur).alive:
+            if cur in flags or not nodes[cur].alive:
                 st.dropped += 1
                 events.append(
                     Event(t, "drop", node=cur, source=pkt.source,
                           detail="holder jammed or dead")
                 )
                 continue
-            counter = st.counters.setdefault((cur, nxt), LinkCounters())
-            if nxt in st.flags or not self.net.node(nxt).alive:
+            counter = counters.get((cur, nxt))
+            if counter is None:
+                counter = counters[(cur, nxt)] = LinkCounters()
+            if nxt in flags or not nodes[nxt].alive:
                 counter.attempts += 1
                 counter.lost += 1
                 st.dropped += 1
@@ -266,7 +267,7 @@ class Simulation:
             route = st.routes[src]
             if route is None or len(route) < 2:
                 continue
-            if src in st.flags or not self.net.node(src).alive:
+            if src in flags or not nodes[src].alive:
                 continue
             acc = st.emit_acc[src] + cfg.rate
             while acc >= 1.0:

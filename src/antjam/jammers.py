@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .network import Network, Position, euclidean_distance
@@ -241,36 +242,63 @@ def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, list[tuple[int, f
     return base, _memo(net, "hearing", base, build)
 
 
+_NO_SAMPLES: Mapping[int, RadioSample] = MappingProxyType({})
+
+# The picture sample_radio handed out last, as kept on its network:
+# [samples, their flagged set or None until jammed_from_samples is asked].
+# Only the mapping object itself matches it, and nothing can change that
+# mapping, so the flagged set holds for as long as the picture does.
+_picture: list = [None, None]
+
+
 def sample_radio(
     net: Network,
     jammers: Iterable[Jammer],
     t: int,
     radio: RadioParams,
     rng: Random,
-) -> dict[int, RadioSample]:
+) -> Mapping[int, RadioSample]:
     """Per-node RadioSample for one step, for every live node that can hear a neighbor.
 
     Jammer emissions are evaluated once when some node is sampled, and not at
     all when none is. The samples are memoised on the network, keyed on its
-    death count, the radio values and this step's (emission, position) pairs.
+    death count, the radio values and this step's (emission, position) pairs,
+    and handed out as a read-only view of the memo: an equal key returns the
+    same mapping object.
     """
+    global _picture
     base, hearing = _hearing(net, radio)
     if not hearing:
-        return {}
+        return _NO_SAMPLES
     emissions = _emissions(jammers, t, rng)
 
-    def build() -> dict[int, RadioSample]:
+    def build() -> list:
         rows = _rows(net, radio, emissions)
-        return {i: RadioSample(signal, _noise(radio.floor, rows, i)) for i, signal in hearing}
+        samples = {
+            i: RadioSample(signal, _noise(radio.floor, rows, i))
+            for i, signal in hearing
+        }
+        return [MappingProxyType(samples), None]
 
-    return dict(_memo(net, "samples", (base, emissions), build))
+    _picture = _memo(net, "samples", (base, emissions), build)
+    return _picture[0]
 
 
-def jammed_from_samples(samples: Mapping[int, RadioSample]) -> set[int]:
-    """Nodes whose reference reception is drowned out this step (before debounce)."""
-    return {
+def jammed_from_samples(samples: Mapping[int, RadioSample]) -> frozenset[int]:
+    """Nodes whose reference reception is drowned out this step (before debounce).
+
+    Worked out once per radio picture for the mappings sample_radio returns,
+    and from scratch for any other mapping.
+    """
+    picture = _picture
+    if picture[0] is samples and picture[1] is not None:
+        return picture[1]
+    flagged = frozenset(
         i for i, s in samples.items() if is_jammed(signal_to_noise_ratio(s))
-    }
+    )
+    if picture[0] is samples:
+        picture[1] = flagged
+    return flagged
 
 
 def deceptive_victims(

@@ -160,21 +160,23 @@ class Network:
     def alive_ids(self) -> list[int]:
         return sorted(i for i, n in self.nodes.items() if n.alive)
 
-    def drain_energy(self, i: int, amount: float) -> "Network":
-        """Subtract energy from node i, flooring at zero.
+    def drain_energy(self, i: int, amount: float) -> bool:
+        """Subtract energy from node i, flooring at zero; True if this killed it.
 
         A node that reaches zero energy dies: its links are removed in both
-        directions and it stops appearing in any neighborhood.
+        directions and it stops appearing in any neighborhood. Draining a
+        dead node changes nothing.
         """
         if amount < 0:
             raise ValueError("drain amount must be >= 0")
         node = self.node(i)
         if not node.alive:
-            return self
+            return False
         node.energy = max(0.0, node.energy - amount)
-        if node.energy == 0.0:
-            self._kill(i)
-        return self
+        if node.energy != 0.0:
+            return False
+        self._kill(i)
+        return True
 
     def _kill(self, i: int) -> None:
         node = self.nodes[i]

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import antjam.ants
 from antjam.ants import (
     COLONY_INTERVALS,
     Ant,
@@ -21,7 +22,7 @@ from antjam.ants import (
 )
 from antjam.jammers import RadioParams, sample_radio
 from antjam.metrics import TourRecord, build_link_metrics, quality_from_metrics
-from antjam.network import build_network, random_geometric_network
+from antjam.network import build_network, grid_network, random_geometric_network
 
 from oracle import best_score
 
@@ -441,3 +442,20 @@ class TestRunSearch:
         line3.drain_energy(0, 100.0)
         with pytest.raises(ValueError):
             run_search(line3, 0, 2, params(), Random(0))
+
+    def test_only_explorers_draw_substreams(self, monkeypatch):
+        made = []
+
+        class CountingRandom(Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(antjam.ants, "Random", CountingRandom)
+        net = grid_network(3, 3, 10.0, 12.0, 100.0)
+        p = params(n_explorers=3, n_exploiters=4, iterations=5)
+        result = run_search(net, 0, 8, p, Random(9))
+        assert result.found
+        assert len(made) == p.n_explorers * p.iterations
+        # each seed is "token:iteration:ant id", and explorers hold ids 0..2
+        assert {int(seed.rsplit(":", 1)[1]) for (seed,) in made} == {0, 1, 2}

@@ -3,9 +3,12 @@
 Small grid, random and explicit layouts with finite energy, so that nodes
 die, and zero to three jammers of every kind are driven one `step()` at a
 time, with `detect_and_reroute()` after each step when rerouting is on.
-After every step the new trace row conserves packets and no node has gained
-energy. Over the run each node that died has exactly one death event, and
-the same config and seed replay to the same report bytes.
+After every step the new trace row conserves packets, no node has gained
+energy, and the nodes with a jam streak are exactly the brute-force set of
+nodes whose sampled signal-to-noise ratio is below 1. Over the run each node
+that died has exactly one death event, and the same config and seed replay
+to the same report bytes, also after a `format_config` -> `parse_config`
+round trip.
 """
 
 from collections import Counter
@@ -19,6 +22,8 @@ from antjam.config import (
     JammerSpec,
     RandomNetworkSpec,
     ScenarioConfig,
+    format_config,
+    parse_config,
 )
 from antjam.engine import Simulation, run_scenario
 from antjam.jammers import RadioParams
@@ -123,12 +128,19 @@ def test_step_invariants(cfg, seed):
         dead = {i for i, n in sim.net.nodes.items() if not n.alive}
         t, sent, delivered, dropped, in_flight, _flagged = sim.state.trace[-1]
         assert sent == delivered + dropped + in_flight, f"imbalance at step {t}"
+        jammed = {
+            i for i, s in sim.state.last_samples.items()
+            if s.p_signal / s.p_noise < 1.0
+        }
+        assert set(sim.state.streaks) == jammed, f"pre-debounce flags at step {t}"
         if cfg.reroute:
             sim.detect_and_reroute()
         for i, node in sim.net.nodes.items():
             assert node.energy <= before[i], f"node {i} gained energy at step {t}"
     # a node drained by the last reroute's ants dies after the last report
     assert deaths == Counter(dead)
-    assert report_json_bytes(sim.report()) == report_json_bytes(
-        run_scenario(cfg, seed)
+    report = report_json_bytes(sim.report())
+    assert report == report_json_bytes(run_scenario(cfg, seed))
+    assert report == report_json_bytes(
+        run_scenario(parse_config(format_config(cfg)), seed)
     )

@@ -275,3 +275,27 @@ class TestSampleRadio:
         j.triggered = True
         loud = sample_radio(net, [j], 1, radio, Random(0))
         assert all(is_jammed(signal_to_noise_ratio(s)) for s in loud.values())
+
+    def test_one_read_only_picture_and_flag_set_per_key(self):
+        net = build_network(
+            [((0.0, 0.0), 10.0, 2.0), ((1.0, 0.0), 10.0, 2.0)], 1
+        )
+        radio = RadioParams(tx_power=0.1)
+        j = make_jammer(JammerKind.CONSTANT, power=5.0, position=(0.5, 0.0))
+        first = sample_radio(net, [j], 0, radio, Random(0))
+        flagged = jammed_from_samples(first)
+        assert flagged == {0, 1}
+        with pytest.raises(TypeError):
+            first[0] = RadioSample(1.0, 1.0)  # a caller cannot corrupt the memo
+        again = sample_radio(net, [j], 1, radio, Random(0))
+        assert again is first
+        assert jammed_from_samples(again) is flagged
+        j.power = 1e-6  # a new emission is a new picture
+        quiet = sample_radio(net, [j], 2, radio, Random(0))
+        assert quiet is not first and jammed_from_samples(quiet) == set()
+
+    def test_flags_of_another_mapping_follow_its_contents(self):
+        samples = {0: RadioSample(1.0, 2.0)}
+        assert jammed_from_samples(samples) == {0}
+        samples[0] = RadioSample(2.0, 1.0)
+        assert jammed_from_samples(samples) == set()

@@ -140,6 +140,11 @@ class TestDrainEnergy:
         assert unit_square.nodes[1].alive
         assert (0, 1) in unit_square.links
 
+    def test_only_the_killing_drain_returns_true(self, unit_square):
+        assert unit_square.drain_energy(1, 99.5) is False
+        assert unit_square.drain_energy(1, 0.5) is True
+        assert unit_square.drain_energy(1, 1.0) is False  # already dead
+
 
 class TestHopCounts:
     def test_line(self, line3):
