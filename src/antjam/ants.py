@@ -276,17 +276,15 @@ class _Walk:
         self.greedy = None
 
     def _row(self, node: int) -> tuple[list[int], list[float], list[float]]:
-        quality, distance, beta = self.quality, self.net.distance, self.beta
-        ids = [
-            u
-            for u in sorted(self.net.neighbors(node))
-            if quality.get((node, u), 0.0) > 0.0
-        ]
-        row = (
-            ids,
-            [quality[(node, u)] for u in ids],
-            [(1.0 / distance[(node, u)]) ** beta for u in ids],
-        )
+        quality_of, distance, beta = self.quality.get, self.net.distance, self.beta
+        ids: list[int] = []
+        quals: list[float] = []
+        for u in sorted(self.net.neighbors(node)):
+            q = quality_of((node, u), 0.0)
+            if q > 0.0:
+                ids.append(u)
+                quals.append(q)
+        row = (ids, quals, [(1.0 / distance[(node, u)]) ** beta for u in ids])
         self.rows[node] = row
         return row
 

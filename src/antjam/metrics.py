@@ -10,10 +10,13 @@ and rolling delivery/loss counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .jammers import RadioSample, signal_to_noise_ratio
 from .network import Network, hop_counts
+
+_V = TypeVar("_V")
+_W = TypeVar("_W")
 
 
 def normalize_metric(actual: float, total: float) -> float:
@@ -123,6 +126,46 @@ class MetricTotals:
         )
 
 
+def _measure(
+    net: Network,
+    samples: Mapping[int, RadioSample],
+    j: int,
+    source_flagged: bool,
+    counter: LinkCounters | None,
+    totals: MetricTotals,
+    flagged: frozenset[int],
+    hops_to_pe: Mapping[int, int],
+) -> LinkMetrics:
+    """The factors of a link into j, whose source is flagged or not, with the
+    link's own counter or None."""
+    hj = hops_to_pe.get(j)
+    if hj is None or hj >= totals.hops:
+        hop = 0.0
+    else:
+        hop = normalize_metric(float(hj), totals.hops)
+
+    residual = min(net.node(j).energy, totals.energy)
+    energy = normalize_metric(totals.energy - residual, totals.energy)
+
+    if source_flagged or j in flagged:
+        snr_factor = 0.0
+    else:
+        sample = samples.get(j)
+        snr = signal_to_noise_ratio(sample) if sample is not None else 0.0
+        snr_factor = normalize_metric(totals.snr - min(snr, totals.snr), totals.snr)
+
+    if counter is None or counter.attempts == 0:
+        delivery = 1.0
+        loss = 1.0
+    else:
+        delivery = normalize_metric(
+            float(counter.attempts - counter.delivered), float(counter.attempts)
+        )
+        loss = normalize_metric(float(counter.lost), float(counter.attempts))
+
+    return LinkMetrics(hop, energy, snr_factor, snr_factor, delivery, loss)
+
+
 def measure_link(
     net: Network,
     samples: Mapping[int, RadioSample],
@@ -147,34 +190,82 @@ def measure_link(
         totals = MetricTotals.for_network(net)
     if hops_to_pe is None:
         hops_to_pe = hop_counts(net, net.pe_id, blocked=flagged)
-
-    hj = hops_to_pe.get(j)
-    if hj is None or hj >= totals.hops:
-        hop = 0.0
-    else:
-        hop = normalize_metric(float(hj), totals.hops)
-
-    residual = min(net.node(j).energy, totals.energy)
-    energy = normalize_metric(totals.energy - residual, totals.energy)
-
-    if i in flagged or j in flagged:
-        snr_factor = 0.0
-    else:
-        sample = samples.get(j)
-        snr = signal_to_noise_ratio(sample) if sample is not None else 0.0
-        snr_factor = normalize_metric(totals.snr - min(snr, totals.snr), totals.snr)
-
     counter = counters.get((i, j)) if counters is not None else None
-    if counter is None or counter.attempts == 0:
-        delivery = 1.0
-        loss = 1.0
-    else:
-        delivery = normalize_metric(
-            float(counter.attempts - counter.delivered), float(counter.attempts)
-        )
-        loss = normalize_metric(float(counter.lost), float(counter.attempts))
+    return _measure(
+        net, samples, j, i in flagged, counter, totals, flagged, hops_to_pe
+    )
 
-    return LinkMetrics(hop, energy, snr_factor, snr_factor, delivery, loss)
+
+_MISSING = object()
+
+
+class LinkTable(Mapping[tuple[int, int], _V]):
+    """A read-only value per directed link, held per node.
+
+    Link (i, j) reads its own entry when it has one (a link with a counter),
+    else j's flagged-source entry when i is flagged, else j's plain entry.
+    The link set is a snapshot taken with the entries, so a later death
+    changes nothing the table answers. Iteration is in ascending (i, j)
+    order.
+    """
+
+    __slots__ = ("_links", "_flagged", "_plain", "_blocked", "_own")
+
+    def __init__(
+        self,
+        links: Mapping[tuple[int, int], object],
+        flagged: frozenset[int],
+        plain: dict[int, _V],
+        blocked: dict[int, _V],
+        own: dict[tuple[int, int], _V],
+    ):
+        self._links = links
+        self._flagged = flagged
+        self._plain = plain
+        self._blocked = blocked
+        self._own = own
+
+    def get(self, link: object, default=None):
+        value = self._own.get(link)
+        if value is not None:
+            return value
+        if link not in self._links:
+            return default
+        i, j = link
+        return (self._blocked if i in self._flagged else self._plain)[j]
+
+    def __getitem__(self, link: tuple[int, int]) -> _V:
+        value = self.get(link, _MISSING)
+        if value is _MISSING:
+            raise KeyError(link)
+        return value
+
+    def __contains__(self, link: object) -> bool:
+        return link in self._links
+
+    def __len__(self) -> int:
+        return len(self._links)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self._links))
+
+    def map(self, fn: Callable[[_V], _W]) -> "LinkTable[_W]":
+        """fn of every entry, over the same links and flags."""
+        return LinkTable(
+            self._links,
+            self._flagged,
+            {j: fn(v) for j, v in self._plain.items()},
+            {j: fn(v) for j, v in self._blocked.items()},
+            {link: fn(v) for link, v in self._own.items()},
+        )
+
+
+def _attempt(*args) -> LinkMetrics | ValueError:
+    """_measure(*args), or the ValueError it raised."""
+    try:
+        return _measure(*args)
+    except ValueError as exc:
+        return exc
 
 
 def build_link_metrics(
@@ -183,39 +274,57 @@ def build_link_metrics(
     counters: Mapping[tuple[int, int], LinkCounters] | None = None,
     totals: MetricTotals | None = None,
     flagged: frozenset[int] = frozenset(),
-) -> dict[tuple[int, int], LinkMetrics]:
+) -> LinkTable[LinkMetrics]:
     """Measure every directed link, in ascending (i, j) order.
 
     Apart from its counter, a link (i, j) reads its source only through
-    `i in flagged`, so links without a counter share one measurement per
-    (j, i in flagged); links with a counter are measured on their own. One
-    hop-count sweep serves the whole table.
+    `i in flagged`. So the table measures each live node once as a
+    destination, once more as the neighbour of a flagged node, and each
+    link with a counter on its own, all against one hop-count sweep. An
+    invalid measurement raises at the first link, in order, that reads it.
     """
     if totals is None:
         totals = MetricTotals.for_network(net)
+    flagged = frozenset(flagged)
     hops = hop_counts(net, net.pe_id, blocked=flagged)
-    own = counters or {}
-    shared: dict[tuple[int, bool], LinkMetrics] = {}
-    table: dict[tuple[int, int], LinkMetrics] = {}
-
-    def measure(i: int, j: int) -> LinkMetrics:
-        return measure_link(net, samples, i, j, counters, totals, flagged, hops)
-
-    for i in sorted(net.nodes):
-        i_flagged = i in flagged
-        for j in sorted(net.neighbors(i)):
-            if (i, j) in own:
-                m = measure(i, j)
-            else:
-                m = shared.get((j, i_flagged))
-                if m is None:
-                    m = shared[(j, i_flagged)] = measure(i, j)
-            table[(i, j)] = m
+    links = net.distance.copy()
+    plain = {
+        j: _attempt(net, samples, j, False, None, totals, flagged, hops)
+        for j, node in net.nodes.items()
+        if node.alive
+    }
+    flagged_sources = (i for i in flagged if i in net.nodes)
+    blocked = {
+        j: _attempt(net, samples, j, True, None, totals, flagged, hops)
+        for j in set().union(*map(net.neighbors, flagged_sources))
+    }
+    own = {
+        link: _attempt(
+            net, samples, link[1], link[0] in flagged, counter, totals, flagged, hops
+        )
+        for link, counter in (counters or {}).items()
+        if link in links
+    }
+    parts = (plain, blocked, own)
+    table = LinkTable(links, flagged, *parts)
+    if any(isinstance(m, ValueError) for part in parts for m in part.values()):
+        for m in table.values():
+            if isinstance(m, ValueError):
+                raise m
+        # no link reads the invalid entries
+        for part in parts:
+            for key in [k for k, m in part.items() if isinstance(m, ValueError)]:
+                del part[key]
     return table
 
 
 def quality_from_metrics(
     table: Mapping[tuple[int, int], LinkMetrics],
-) -> dict[tuple[int, int], float]:
-    """Quality of every link in the table, in the table's order."""
+) -> Mapping[tuple[int, int], float]:
+    """Quality of every link in the table, in the table's order.
+
+    A LinkTable is scored once per entry rather than once per link.
+    """
+    if isinstance(table, LinkTable):
+        return table.map(link_quality)
     return {link: link_quality(m) for link, m in table.items()}

@@ -64,7 +64,9 @@ class Network:
     node when it dies) and the jammer-to-node path-gain rows that jammers.py
     keeps in `_gain_rows` (never stale, since only positions enter them).
     jammers.py also keeps its last radio picture in `_radio_memo`, keyed in
-    part on `_deaths`, the number of nodes that have died so far.
+    part on `_deaths`, the number of nodes that have died so far. A pickled
+    or copied network leaves that picture behind, since it holds read-only
+    views, and rebuilds it on first use.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -85,6 +87,11 @@ class Network:
         self._radio_memo: dict[str, tuple[tuple, object]] = {}
         self._deaths = 0
         self._build_links()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_radio_memo"] = {}
+        return state
 
     def _build_links(self) -> None:
         """Link every mutually in-range pair, in ascending (a, b) order.

@@ -1,10 +1,12 @@
-"""The shared-measurement quality table against reference_metrics.py.
+"""The per-node quality table against reference_metrics.py.
 
-The package measures one LinkMetrics per (destination, flagged source) and
-measures a link on its own only when it has a counter. None of that may
-change a result: on generated networks, while relays die and flags, samples
-and counters change between builds, the metrics table and the quality table
-must equal the per-link original in order and bit for bit, and an invalid
+The package measures one LinkMetrics per destination node, plus one per
+neighbour of a flagged node, and measures a link on its own only when it has
+a counter; it scores those entries, not the links. None of that may change a
+result: on generated networks, while relays die and flags, samples and
+counters change between builds, the metrics table and the quality table must
+equal the per-link original in order and bit for bit, have its length, miss
+the same keys, keep answering as built after later deaths, and an invalid
 counter must raise the same error.
 """
 
@@ -85,9 +87,14 @@ def metric_cases(draw):
 def test_matches_reference_metrics(case):
     specs, pe, builds = case
     net = build_network(specs, pe)
+    built = []  # (table, its items when built) of every earlier build
     for drains, flagged, samples, totals, bad, seed in builds:
+        old_links = set(net.links)
         for i, amount in drains:
             net.drain_energy(i, amount)
+        # a table already built answers as it did, whatever died since
+        for table, items in built:
+            assert list(table.items()) == items
         rng = Random(seed)
         links = sorted(net.links)
         counters = counters_of(rng, links, bad == "counter")
@@ -100,10 +107,20 @@ def test_matches_reference_metrics(case):
             assert str(got.value) == str(exc)
             continue
         got = build_link_metrics(*args)
+        want_quality = ref.quality_from_metrics(want)
+        quality = quality_from_metrics(got)
         assert list(got.items()) == list(want.items())
-        assert list(quality_from_metrics(got).items()) == list(
-            ref.quality_from_metrics(want).items()
-        )
+        assert list(quality.items()) == list(want_quality.items())
+        assert len(got) == len(quality) == len(want)
+        # (0, 0), a pair of unknown ids and the links of nodes that just died
+        for non_link in [(0, 0), (98, 99), *sorted(old_links - set(links))]:
+            assert non_link not in got and non_link not in quality
+            assert quality.get(non_link, 0.0) == 0.0
+            assert got.get(non_link) is None
+            for table in (got, quality):
+                with pytest.raises(KeyError):
+                    table[non_link]
+        built += [(got, list(want.items())), (quality, list(want_quality.items()))]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,69 @@
+"""A network pickles and deep-copies, and so do the quality tables built on it.
+
+The copies are taken right after setup and again once a relay has died, on
+the churn field of test_report_digests.py. A copy must hold the same nodes,
+energy and links, and sample the same radio picture as the original.
+"""
+
+import copy
+import pickle
+from random import Random
+
+import pytest
+
+from antjam.config import parse_config
+from antjam.engine import Simulation
+from antjam.jammers import sample_radio
+from antjam.metrics import build_link_metrics, quality_from_metrics
+from test_report_digests import CHURN
+
+COPIES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.fixture(scope="module")
+def sims():
+    fresh = Simulation(parse_config(CHURN), 7)
+    churned = Simulation(parse_config(CHURN), 7)
+    st = churned.state
+    # run on until a node has died while some node is flagged
+    while all(n.alive for n in churned.net.nodes.values()) or not st.flags:
+        churned.step()
+        churned.detect_and_reroute()
+    return {"after setup": fresh, "after a death": churned}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("when", ["after setup", "after a death"])
+def test_network_copies(sims, when, how):
+    sim = sims[when]
+    net = sim.net
+    twin = COPIES[how](net)
+    assert twin is not net
+    assert twin.nodes == net.nodes
+    assert {i: n.energy for i, n in twin.nodes.items()} == {
+        i: n.energy for i, n in net.nodes.items()
+    }
+    assert twin.distance == net.distance
+    assert set(twin.links) == set(net.links)
+    t = sim.state.time
+    want = sample_radio(net, sim.jammers, t, sim.radio, Random(5))
+    got = sample_radio(twin, sim.jammers, t, sim.radio, Random(5))
+    assert dict(got) == dict(want)
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_quality_tables_copy(sims, how):
+    sim = sims["after a death"]
+    st = sim.state
+    assert st.counters and st.flags
+    metrics = build_link_metrics(
+        sim.net, st.last_samples, st.counters, sim.totals, frozenset(st.flags)
+    )
+    quality = quality_from_metrics(metrics)
+    for table in (metrics, quality):
+        twin = COPIES[how](table)
+        assert len(twin) == len(table)
+        assert list(twin.items()) == list(table.items())
