@@ -21,7 +21,7 @@ from enum import Enum
 from random import Random
 from typing import Mapping, Sequence
 
-from .metrics import TourRecord, tour_quality
+from .metrics import TourRecord, geometric_mean
 from .network import Network
 
 
@@ -159,28 +159,6 @@ def _normalize(weights: Sequence[float]) -> list[float] | None:
     return [w / total for w in weights]
 
 
-def _roulette(probabilities: Sequence[float], rng: Random) -> int:
-    """Index drawn by roulette wheel from a normalized probability list.
-
-    The draw r picks the first index whose running sum exceeds r. When the
-    sum rounds to just under r, the last index with a positive probability
-    wins, so a zero-probability entry is never drawn.
-    """
-    total = sum(probabilities)
-    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    r = rng.random()
-    acc = 0.0
-    fallback = 0
-    for k, p in enumerate(probabilities):
-        acc += p
-        if r < acc:
-            return k
-        if p > 0.0:
-            fallback = k
-    return fallback
-
-
 def _argmax(weights: Sequence[float]) -> int | None:
     """Index of the largest positive weight, lowest index on ties."""
     best_k = None
@@ -239,15 +217,18 @@ def _check_endpoints(net: Network, source: int, dest: int) -> None:
             raise ValueError(f"node {endpoint} is dead")
 
 
+_Row = tuple[Sequence[int], Sequence[float], Sequence[float], Sequence[float]]
+
+
 class _Walk:
     """The one tour walker: ants from source to dest over rows built lazily.
 
     A node's row holds its live neighbors with quality > 0 in id order, with
-    each link's quality and (1/distance)^beta; it is built when an ant first
-    reaches the node. The row's weights are the _weight values under the
-    current pheromone; they are built on the first visit in a round and hold
-    for the rest of it, since pheromone only changes in the batch update
-    between rounds. new_round drops them, and must follow every update.
+    each link's (1/distance)^beta, quality and distance in tuples sized to fit;
+    it is built when an ant first reaches the node. The round's weights swap in
+    the _weight values under the current pheromone for (1/distance)^beta, on
+    the first visit in a round, and hold for the rest of it: pheromone only
+    changes between rounds. new_round drops them, and must follow every update.
     """
 
     def __init__(
@@ -260,14 +241,12 @@ class _Walk:
         params: SearchParams,
     ):
         self.net = net
-        self.source = source
-        self.dest = dest
+        self.source, self.dest = source, dest
         self.quality = quality
         self.pheromone = pheromone
-        self.alpha = params.alpha
-        self.beta = params.beta
-        self.rows: dict[int, tuple[list[int], list[float], list[float]]] = {}
-        self.weights: dict[int, tuple[list[int], list[float]]] = {}
+        self.alpha, self.beta = params.alpha, params.beta
+        self.rows: dict[int, _Row] = {}
+        self.weights: dict[int, _Row] = {}
         # the first exploiter's walk this round: path and record
         self.greedy: tuple[tuple[int, ...], TourRecord | None] | None = None
 
@@ -275,30 +254,30 @@ class _Walk:
         self.weights = {}
         self.greedy = None
 
-    def _row(self, node: int) -> tuple[list[int], list[float], list[float]]:
+    def _row(self, node: int) -> _Row:
         quality_of, distance, beta = self.quality.get, self.net.distance, self.beta
-        ids: list[int] = []
-        quals: list[float] = []
+        ids, quals = [], []
         for u in sorted(self.net.neighbors(node)):
             q = quality_of((node, u), 0.0)
             if q > 0.0:
                 ids.append(u)
                 quals.append(q)
-        row = (ids, quals, [(1.0 / distance[(node, u)]) ** beta for u in ids])
-        self.rows[node] = row
+        dists = tuple([distance[(node, u)] for u in ids])
+        inv_d_beta = tuple([(1.0 / d) ** beta for d in dists])
+        self.rows[node] = row = (tuple(ids), inv_d_beta, tuple(quals), dists)
         return row
 
-    def _weights(self, node: int) -> tuple[list[int], list[float]]:
-        ids, quals, inv_d_beta = self.rows.get(node) or self._row(node)
+    def _weights(self, node: int) -> _Row:
+        ids, inv_d_beta, quals, dists = self.rows.get(node) or self._row(node)
         # dict.get with the untouched value, not the Python-level __missing__
         pheromone_of, untouched = self.pheromone.get, self.pheromone.untouched
         alpha = self.alpha
-        weights = []
-        for u, q, d in zip(ids, quals, inv_d_beta):
-            base = pheromone_of((node, u), untouched) * q
-            # the rule of _weight, with (1/distance)^beta taken from the row
-            weights.append(base**alpha * d if base != 0.0 else 0.0)
-        self.weights[node] = entry = (ids, weights)
+        # the rule of _weight, with (1/distance)^beta taken from the row
+        weights = [
+            base**alpha * d if (base := pheromone_of((node, u), untouched) * q) else 0.0
+            for u, q, d in zip(ids, quals, inv_d_beta)
+        ]
+        self.weights[node] = entry = (ids, weights, quals, dists)
         return entry
 
     def tour(
@@ -322,33 +301,47 @@ class _Walk:
         self, rng: Random | None, explorer: bool
     ) -> tuple[tuple[int, ...], TourRecord | None]:
         source, dest = self.source, self.dest
-        distance = self.net.distance
         round_weights, new_weights = self.weights, self._weights
-        tour = [source]
-        walked = 0.0
-        visited = {source}
+        inf = math.inf
+        tour, visited = [source], {source}
+        walked, quals_walked = 0.0, []
         current = source
         while current != dest:
-            ids, weights = round_weights.get(current) or new_weights(current)
+            ids, weights, quals, dists = round_weights.get(current) or new_weights(current)
             # A visited candidate weighs zero: it adds nothing to any sum and
             # can be neither drawn nor the argmax, as if it were left out.
-            open_weights = [
-                0.0 if u in visited else w for u, w in zip(ids, weights)
-            ]
-            if explorer:
-                probs = _normalize(open_weights)
-                k = None if probs is None else _roulette(probs, rng)
-            else:
+            open_weights = [0.0 if u in visited else w for u, w in zip(ids, weights)]
+            if not explorer:
                 k = _argmax(open_weights)
+            elif (total := sum(open_weights)) <= 0.0:
+                k = None
+            elif total < inf:
+                # Roulette: the first index whose running sum of w / total
+                # exceeds the draw. If the sum rounds to just under it, the last
+                # index with a positive quotient wins, never a zero one.
+                r, acc, k = rng.random(), 0.0, 0
+                for j, w in enumerate(open_weights):
+                    p = w / total
+                    acc += p
+                    if r < acc:
+                        k = j
+                        break
+                    if p > 0.0:
+                        k = j
+            else:  # the total overflowed: no quotients can sum to 1
+                raise ValueError(
+                    f"probabilities sum to {sum(w / total for w in open_weights)}, not 1"
+                )
             if k is None:
                 return tuple(tour), None
             nxt = ids[k]
             tour.append(nxt)
-            walked += distance[(current, nxt)]
+            quals_walked.append(quals[k])
+            walked += dists[k]
             visited.add(nxt)
             current = nxt
         path = tuple(tour)
-        return path, TourRecord(path, walked, tour_quality(tour, self.quality))
+        return path, TourRecord(path, walked, geometric_mean(quals_walked))
 
 
 def global_pheromone_update(
@@ -359,10 +352,11 @@ def global_pheromone_update(
     The shared untouched value decays with the links held in the table. Each
     tour adds q / (distance * quality) to every directed link it used.
     """
-    for link in pheromone:
-        pheromone[link] *= params.rho
+    rho = params.rho
+    for link, value in pheromone.items():
+        pheromone[link] = value * rho
     if pheromone.untouched is not None:
-        pheromone.untouched *= params.rho
+        pheromone.untouched *= rho
     for tour in tours:
         if tour.distance <= 0.0 or tour.quality <= 0.0:
             raise ValueError("tour with non-positive distance or quality")
@@ -478,9 +472,8 @@ def run_search(
         scores: list[float] = []
         for ant in ants:
             # only an explorer draws; an exploiter's substream would go unread
-            rng = None
-            if ant.colony is Colony.EXPLORER:
-                rng = Random(f"{token}:{iteration}:{ant.id}")
+            explorer = ant.colony is Colony.EXPLORER
+            rng = Random(f"{token}:{iteration}:{ant.id}") if explorer else None
             path, record = walk.tour(ant, rng)
             transmit_counts.update(path[:-1])
             if record is None:

@@ -9,6 +9,7 @@ and rolling delivery/loss counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -88,10 +89,12 @@ def tour_quality(path: Sequence[int], quality: Mapping[tuple[int, int], float]) 
         if q <= 0.0:
             raise ValueError(f"dead link ({a}, {b}) on tour")
         values.append(q)
-    product = 1.0
-    for q in sorted(values):
-        product *= q
-    return product ** (1.0 / len(values))
+    return geometric_mean(values)
+
+
+def geometric_mean(values: list[float]) -> float:
+    """The n-th root of the product of n values, multiplied in sorted order."""
+    return math.prod(sorted(values)) ** (1.0 / len(values))
 
 
 @dataclass

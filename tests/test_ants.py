@@ -11,7 +11,6 @@ from antjam.ants import (
     DeadEnd,
     PheromoneTable,
     SearchParams,
-    _roulette,
     _Walk,
     adapt_sensitivity,
     choose_next_exploiter,
@@ -138,44 +137,70 @@ class TestTransitionProbabilities:
             )
 
 
+def walker_hop(weights, rng, masked=()):
+    """One explorer hop of the walker: the candidate it picks, None on a dead end.
+
+    The candidates are nodes 0..n-1 with these weights, out of a hub node n.
+    The ant walks to the hub through the masked candidates in order, one sure
+    hop each, so the hub's hop sees exactly those as visited. Every candidate's
+    own row is empty, so the walk stops right after the pick.
+    """
+    n = len(weights)
+    hub = n
+    chain = [*masked, hub]
+    walk = _Walk(None, chain[0], n + 1, None, PheromoneTable(), params())
+    walk.weights = {u: ([], [], [], []) for u in range(n)}
+    for a, b in zip(chain, chain[1:]):
+        walk.weights[a] = ([b], [1.0], [1.0], [1.0])
+    walk.weights[hub] = (list(range(n)), list(weights), [1.0] * n, [1.0] * n)
+    path, record = walk._walk(rng, explorer=True)
+    assert record is None and path[: len(chain)] == tuple(chain)
+    return path[len(chain)] if len(path) > len(chain) else None
+
+
+class FixedDraw:
+    """An rng whose every draw is r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
 class TestExplorerChoice:
-    # _roulette draws an index into a normalized probability list, which is
-    # what explorer ants do at every hop
+    # an explorer draws its next hop by roulette over the candidates' weights
     def test_roulette_frequencies(self):
-        pheromone, quality, distance = two_candidate_instance()
-        probs = transition_probabilities(
-            0, [1, 2], pheromone, quality, distance, params()
-        )
-        ordered = list(probs.values())
+        weights = [1.0, 0.5]  # two_candidate_instance: probabilities 2/3 and 1/3
         rng = Random(123)
         draws = 30000
-        hits = sum(1 for _ in range(draws) if _roulette(ordered, rng) == 0)
+        hits = sum(1 for _ in range(draws) if walker_hop(weights, rng) == 0)
         assert abs(hits / draws - 2.0 / 3.0) <= 0.01
 
     def test_deterministic_under_fixed_seed(self):
-        pheromone, quality, distance = two_candidate_instance()
-        probs = transition_probabilities(
-            0, [1, 2], pheromone, quality, distance, params()
-        )
-        ordered = list(probs.values())
-        a = [_roulette(ordered, Random(77)) for _ in range(20)]
-        b = [_roulette(ordered, Random(77)) for _ in range(20)]
+        weights = [1.0, 0.5]
+        rng_a, rng_b = Random(77), Random(77)
+        a = [walker_hop(weights, rng_a) for _ in range(20)]
+        b = [walker_hop(weights, rng_b) for _ in range(20)]
         assert a == b
+        assert set(a) == {0, 1}
 
     def test_rejects_unnormalized_table(self):
-        with pytest.raises(ValueError):
-            _roulette([0.4, 0.4], Random(0))
+        # a total that overflows leaves no probabilities that sum to 1
+        with pytest.raises(ValueError, match="probabilities sum to 0.0, not 1"):
+            walker_hop([1e308, 1e308], Random(0))
+        with pytest.raises(ValueError, match="probabilities sum to nan, not 1"):
+            walker_hop([1.0, math.inf], Random(0))
 
     def test_rounding_fallback_skips_zero_probability(self):
-        # the sum passes validation but the running sum stops short of the
-        # largest possible draw; the zero-probability entry must not win
-        class TopDraw:
-            def random(self):
-                return 1.0 - 2.0**-53
-
-        probs = [0.5, 0.5 - 1e-12, 0.0]
-        assert sum(probs) < 1.0 - 2.0**-53
-        assert _roulette(probs, TopDraw()) == 1
+        # the running sum of w / total stops short of the largest possible
+        # draw; the last candidate with a positive quotient wins, not one
+        # whose weight is zero or whose quotient underflows to zero
+        top = FixedDraw(1.0 - 2.0**-53)
+        for weights in ([0.7, 2.0, 1.0, 0.0], [0.7, 2.0, 1.0, 5e-324]):
+            total = sum(weights)
+            assert sum(w / total for w in weights) < top.r
+            assert walker_hop(weights, top) == 2
 
 
 class TestExploiterChoice:

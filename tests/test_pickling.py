@@ -3,6 +3,9 @@
 The copies are taken right after setup and again once a relay has died, on
 the churn field of test_report_digests.py. A copy must hold the same nodes,
 energy and links, and sample the same radio picture as the original.
+
+A whole Simulation pickles too: a copy taken after setup or mid-run, run on
+to the end, gives the report bytes of a run that was never pickled.
 """
 
 import copy
@@ -15,6 +18,7 @@ from antjam.config import parse_config
 from antjam.engine import Simulation
 from antjam.jammers import sample_radio
 from antjam.metrics import build_link_metrics, quality_from_metrics
+from antjam.reporting import report_json_bytes
 from test_report_digests import CHURN
 
 COPIES = {
@@ -67,3 +71,22 @@ def test_quality_tables_copy(sims, how):
         twin = COPIES[how](table)
         assert len(twin) == len(table)
         assert list(twin.items()) == list(table.items())
+
+
+def advance(sim, until):
+    """Step sim as run() does until its clock reads `until`."""
+    while sim.state.time < until:
+        sim.step()
+        if sim.config.reroute:
+            sim.detect_and_reroute()
+    return sim
+
+
+@pytest.mark.parametrize("steps", [0, 25])
+def test_simulation_pickles_and_resumes(steps):
+    want = report_json_bytes(Simulation(parse_config(CHURN), 7).run())
+    sim = advance(Simulation(parse_config(CHURN), 7), steps)
+    twin = pickle.loads(pickle.dumps(sim))
+    # the copy and the original each run on to the same bytes
+    for run in (twin, sim):
+        assert report_json_bytes(advance(run, run.config.duration).report()) == want

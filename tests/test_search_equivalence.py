@@ -12,18 +12,31 @@ The walker reads a per-node quality table (quality_from_metrics of
 build_link_metrics) through the same `get` as a plain dict, so a search on
 such a table must equal the search on a dict of its items, down to the
 final pheromone.
+
+An explorer's hop draws from the walker's weights in one pass; it must pick
+the node, dead-end or raise exactly as the reference's normalize-then-draw
+does. Every tour the walker returns is scored from the rows it read; its
+quality and length must equal tour_quality and the left-to-right sum of the
+link distances along its path.
 """
 
 from datetime import timedelta
 from random import Random
+from unittest.mock import patch
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_search
-from antjam.ants import SearchParams, run_search
+from antjam.ants import Colony, DeadEnd, SearchParams, _normalize, _Walk, run_search
 from antjam.jammers import RadioSample
-from antjam.metrics import LinkCounters, build_link_metrics, quality_from_metrics
-from antjam.network import build_network
+from antjam.metrics import (
+    LinkCounters,
+    build_link_metrics,
+    quality_from_metrics,
+    tour_quality,
+)
+from antjam.network import build_network, grid_network
+from test_ants import FixedDraw, walker_hop
 
 
 def search_params(draw):
@@ -133,3 +146,95 @@ def test_per_node_quality_reads_like_a_dict(case):
     assert got.transmit_counts == want.transmit_counts
     assert got.pheromone == want.pheromone
     assert got.pheromone.untouched == want.pheromone.untouched
+
+
+# zeros, subnormals (whose quotient underflows next to a large total), plain
+# values, and values large enough that two of them overflow the total
+hop_weights = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.sampled_from([5e-324, 1e-320, 2.2e-308]),
+        st.floats(1e-3, 1e3),
+        st.floats(1e307, 1.7976931348623157e308),
+        st.floats(0.0, 1.7976931348623157e308),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def hop_outcome(hop):
+    try:
+        return ("pick", hop())
+    except (DeadEnd, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def reference_hop(weights, r, masked):
+    """_normalize, then the reference roulette over the unvisited candidates."""
+    probs = _normalize([0.0 if u in masked else w for u, w in enumerate(weights)])
+    if probs is None:
+        return None
+    table = {u: p for u, p in enumerate(probs) if u not in masked}
+    return reference_search.choose_next_explorer(table, FixedDraw(r))
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=1))
+@given(
+    hop_weights,
+    st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)),
+    st.lists(st.integers(0, 7), unique=True),
+)
+@example([0.7, 2.0, 1.0, 5e-324], 1.0 - 2.0**-53, [])  # last quotient underflows
+@example([1e308, 1e308], 0.5, [])  # the total overflows to inf
+@example([1e308, 1e308, 1.0], 0.5, [1])  # so does the sum of the open ones
+@example([5.0, 1.0, 5.0], 1.0 - 2.0**-53, [0, 2])  # only one candidate is open
+@example([5.0, 0.0], 0.5, [0])  # no open candidate weighs anything
+def test_explorer_hop_matches_reference(weights, r, visited):
+    masked = [u for u in visited if u < len(weights)]
+    got = hop_outcome(lambda: walker_hop(weights, FixedDraw(r), masked))
+    want = hop_outcome(lambda: reference_hop(weights, r, set(masked)))
+    assert got == want
+
+
+def checked_tours(net, source, dest, params, quality, seed):
+    """Check every tour record run_search's walker returns; how many were explorers'.
+
+    Each record's quality must be tour_quality of its path and its distance
+    the left-to-right sum of the link distances along it.
+    """
+    seen = []
+    tour = _Walk.tour
+
+    def recording_tour(self, ant, rng):
+        path, record = tour(self, ant, rng)
+        seen.append((ant.colony, path, record))
+        return path, record
+
+    with patch.object(_Walk, "tour", recording_tour):
+        result = run_search(net, source, dest, params, Random(seed), quality)
+    table = quality if quality is not None else {link: 1.0 for link in net.links}
+    explorers = 0
+    for colony, path, record in seen:
+        if record is None:
+            continue
+        assert record.path == path
+        assert record.quality == tour_quality(path, table)
+        walked = 0.0
+        for link in zip(path, path[1:]):
+            walked += net.distance[link]
+        assert record.distance == walked
+        explorers += colony is Colony.EXPLORER
+    assert result.best is None or result.best in [record for *_, record in seen]
+    return explorers
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(st.one_of(search_cases(), table_cases()))
+def test_tour_records_score_their_own_path(case):
+    checked_tours(*case)
+
+
+def test_explorer_tour_records_are_checked():
+    net = grid_network(4, 4, 10.0, 12.0, 10.0, pe_index=15)
+    assert checked_tours(net, 0, 15, SearchParams(iterations=5), None, 3) > 0
