@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
             baseline = _run_batch(baseline_cfg, seeds)
             pairs = list(zip(enabled, baseline))
             write_bytes(compare_csv_bytes(pairs), args.out or config.output_path)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -32,6 +32,7 @@ from .network import (
 # no oversized scenario is ever built.
 MAX_NODES = 100_000  # random `count`, grid `rows * cols`
 MAX_DURATION = 1_000_000  # traffic `duration`, in steps
+MAX_RATE = 1_000  # traffic `rate`, in packets per source per step
 MAX_ANT_TOURS = 1_000_000  # (n_explorers + n_exploiters) * iterations
 
 
@@ -284,9 +285,9 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
         _Key("debounce", int, ge=1),
     )),
     "metrics": (None, (
-        _Key("snr_total", float, gt=0),
-        _Key("total_hops", float, gt=0),
-        _Key("energy_capacity", float, gt=0),
+        _Key("snr_total", float, gt=0, lt=math.inf),
+        _Key("total_hops", float, gt=0, lt=math.inf),
+        _Key("energy_capacity", float, gt=0, lt=math.inf),
     )),
     "search": (SearchParams, (
         _Key("q", float, ge=0),
@@ -299,7 +300,7 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
     )),
     "traffic": (None, (
         _Key("sources", _ints),
-        _Key("rate", float, ge=0),
+        _Key("rate", float, ge=0, le=MAX_RATE),
         _Key("duration", int, ge=0, le=MAX_DURATION),
     )),
     "sim": (None, (

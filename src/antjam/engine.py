@@ -113,10 +113,6 @@ class ScenarioState:
     trace: list[list[int]] = field(default_factory=list)
     searches: list[SearchSummary] = field(default_factory=list)
 
-    def __getstate__(self) -> dict:
-        # sample_radio's samples are a read-only view, which does not pickle
-        return {**self.__dict__, "last_samples": dict(self.last_samples)}
-
 
 class Simulation:
     """One seeded scenario run. Build, then call run(), or drive step() directly."""

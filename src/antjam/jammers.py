@@ -11,11 +11,11 @@ activity on the previous step.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .network import Network, Position, euclidean_distance
 
@@ -230,10 +230,10 @@ def _memo(net: Network, name: str, key: tuple, build: Callable[[], _T]) -> _T:
 def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, list[tuple[int, float]]]:
     """(key, [(node, reference signal)]) of the live nodes that hear a neighbor.
 
-    Signals change only when a node dies or a radio value changes, so the
-    key is the network's death count and the radio values.
+    Signals change only when a link goes or a radio value changes. Links are
+    only ever removed, so the key is the link count and the radio values.
     """
-    base = (net._deaths, radio.floor, radio.tx_power, radio.d0, radio.gamma)
+    base = (len(net.distance), radio.floor, radio.tx_power, radio.d0, radio.gamma)
 
     def build() -> list[tuple[int, float]]:
         signals = ((i, reference_signal(net, i, radio)) for i in net.alive_ids())
@@ -242,13 +242,32 @@ def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, list[tuple[int, f
     return base, _memo(net, "hearing", base, build)
 
 
-_NO_SAMPLES: Mapping[int, RadioSample] = MappingProxyType({})
+class RadioPicture(Mapping[int, RadioSample]):
+    """One step's samples, read-only, and `flagged`: the nodes they flag
+    before debounce, worked out once when the picture is made."""
 
-# The picture sample_radio handed out last, as kept on its network:
-# [samples, their flagged set or None until jammed_from_samples is asked].
-# Only the mapping object itself matches it, and nothing can change that
-# mapping, so the flagged set holds for as long as the picture does.
-_picture: list = [None, None]
+    __slots__ = ("_samples", "flagged")
+
+    def __init__(self, samples: Mapping[int, RadioSample]):
+        self._samples = samples
+        self.flagged = frozenset(
+            i for i, s in samples.items() if is_jammed(signal_to_noise_ratio(s))
+        )
+
+    def __getitem__(self, i: int) -> RadioSample:
+        return self._samples[i]
+
+    def get(self, i: int, default: RadioSample | None = None) -> RadioSample | None:
+        return self._samples.get(i, default)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+
+_NO_SAMPLES = RadioPicture({})
 
 
 def sample_radio(
@@ -257,48 +276,38 @@ def sample_radio(
     t: int,
     radio: RadioParams,
     rng: Random,
-) -> Mapping[int, RadioSample]:
+) -> RadioPicture:
     """Per-node RadioSample for one step, for every live node that can hear a neighbor.
 
     Jammer emissions are evaluated once when some node is sampled, and not at
-    all when none is. The samples are memoised on the network, keyed on its
-    death count, the radio values and this step's (emission, position) pairs,
-    and handed out as a read-only view of the memo: an equal key returns the
-    same mapping object.
+    all when none is. The picture is memoised on the network, keyed on its
+    link count, the radio values and this step's (emission, position) pairs:
+    an equal key returns the same picture.
     """
-    global _picture
     base, hearing = _hearing(net, radio)
     if not hearing:
         return _NO_SAMPLES
     emissions = _emissions(jammers, t, rng)
 
-    def build() -> list:
+    def build() -> RadioPicture:
         rows = _rows(net, radio, emissions)
-        samples = {
+        return RadioPicture({
             i: RadioSample(signal, _noise(radio.floor, rows, i))
             for i, signal in hearing
-        }
-        return [MappingProxyType(samples), None]
+        })
 
-    _picture = _memo(net, "samples", (base, emissions), build)
-    return _picture[0]
+    return _memo(net, "samples", (base, emissions), build)
 
 
 def jammed_from_samples(samples: Mapping[int, RadioSample]) -> frozenset[int]:
     """Nodes whose reference reception is drowned out this step (before debounce).
 
-    Worked out once per radio picture for the mappings sample_radio returns,
-    and from scratch for any other mapping.
+    A picture from sample_radio carries its flags; any other mapping is
+    wrapped in a picture first.
     """
-    picture = _picture
-    if picture[0] is samples and picture[1] is not None:
-        return picture[1]
-    flagged = frozenset(
-        i for i, s in samples.items() if is_jammed(signal_to_noise_ratio(s))
-    )
-    if picture[0] is samples:
-        picture[1] = flagged
-    return flagged
+    if not isinstance(samples, RadioPicture):
+        samples = RadioPicture(samples)
+    return samples.flagged
 
 
 def deceptive_victims(
@@ -306,11 +315,12 @@ def deceptive_victims(
     jammers: Iterable[Jammer],
     t: int,
     radio: RadioParams,
-) -> set[int]:
+) -> frozenset[int]:
     """Nodes busy receiving a deceptive jammer's fake packets this step.
 
     A node is a victim when some deceptive jammer's received power reaches its
-    reference signal power, i.e. the fake traffic wins the channel.
+    reference signal power, i.e. the fake traffic wins the channel. An equal
+    key returns the same set.
     """
     fakes = tuple(
         (j.power, j.position)
@@ -318,13 +328,13 @@ def deceptive_victims(
         if j.kind is JammerKind.DECEPTIVE and t >= j.start
     )
     if not fakes:
-        return set()
+        return frozenset()
     base, hearing = _hearing(net, radio)
 
-    def build() -> set[int]:
+    def build() -> frozenset[int]:
         rows = _rows(net, radio, fakes)
-        return {
+        return frozenset(
             i for i, signal in hearing if any(power * row[i] >= signal for power, row in rows)
-        }
+        )
 
-    return set(_memo(net, "victims", (base, fakes), build))
+    return _memo(net, "victims", (base, fakes), build)

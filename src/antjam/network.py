@@ -64,9 +64,8 @@ class Network:
     node when it dies) and the jammer-to-node path-gain rows that jammers.py
     keeps in `_gain_rows` (never stale, since only positions enter them).
     jammers.py also keeps its last radio picture in `_radio_memo`, keyed in
-    part on `_deaths`, the number of nodes that have died so far. A pickled
-    or copied network leaves that picture behind, since it holds read-only
-    views, and rebuilds it on first use.
+    part on the link count, which stands for the link set since links are
+    only ever removed. A pickled or copied network carries that picture.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -85,13 +84,7 @@ class Network:
         self._nearest: dict[int, float | None] = {}
         self._gain_rows: dict[tuple[Position, float, float], dict[int, float]] = {}
         self._radio_memo: dict[str, tuple[tuple, object]] = {}
-        self._deaths = 0
         self._build_links()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_radio_memo"] = {}
-        return state
 
     def _build_links(self) -> None:
         """Link every mutually in-range pair, in ascending (a, b) order.
@@ -188,7 +181,6 @@ class Network:
     def _kill(self, i: int) -> None:
         node = self.nodes[i]
         node.alive = False
-        self._deaths += 1
         self._nearest.pop(i, None)
         for j in list(self._adjacency[i]):
             self._nearest.pop(j, None)

@@ -5,15 +5,19 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Four fixes are applied on top of the original code, and nothing else:
+Six fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
 unknown key whenever another `[network]` key was invalid); an infinite
 node `energy` is rejected (`< inf` for grid and random layouts, `energy must
 be finite` for an explicit entry); a jammer `sleep` or `jam` range with more
 than two parts, such as `1..2..9`, is rejected (it used to be read as
-`1..2`); and an `[output] path` continued over several lines is rejected
-(`format_config` wrote it back over several lines, which did not parse).
+`1..2`); an `[output] path` continued over several lines is rejected
+(`format_config` wrote it back over several lines, which did not parse); a
+`[traffic] rate` above 1000 packets per source per step is rejected (an
+infinite or huge rate never finished a step); and an infinite `[metrics]`
+`snr_total`, `total_hops` or `energy_capacity` is rejected (`< inf`; every
+run then failed late on a NaN quality factor that named no key).
 """
 
 from __future__ import annotations
@@ -322,10 +326,13 @@ def parse_config(text: str) -> ScenarioConfig:
     snr_total, total_hops, energy_capacity = 10.0, None, None
     if "metrics" in sections:
         sec = sections["metrics"]
-        snr_total = sec.get_float("snr_total", default=10.0, lo=0, lo_open=True)
-        total_hops = sec.get_float("total_hops", default=None, lo=0, lo_open=True)
+        snr_total = sec.get_float("snr_total", default=10.0, lo=0, lo_open=True,
+                                  hi=math.inf, hi_open=True)
+        total_hops = sec.get_float("total_hops", default=None, lo=0, lo_open=True,
+                                   hi=math.inf, hi_open=True)
         energy_capacity = sec.get_float(
-            "energy_capacity", default=None, lo=0, lo_open=True
+            "energy_capacity", default=None, lo=0, lo_open=True,
+            hi=math.inf, hi_open=True,
         )
         sec.finish()
 
@@ -356,7 +363,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if "traffic" in sections:
         sec = sections["traffic"]
         sources = sec.get_int_list("sources")
-        rate = sec.get_float("rate", default=1.0, lo=0)
+        rate = sec.get_float("rate", default=1.0, lo=0, hi=1000)
         duration = sec.get_int("duration", default=100, lo=0)
         sec.finish()
         if sources is not None and network is not None:

@@ -225,6 +225,30 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "error: network exceeds 6 directed links" in capsys.readouterr().err
 
+    def test_huge_rate_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # such a rate never finished a step; it must stop at parse time
+        monkeypatch.setattr(cli, "run_scenario", None)  # nothing may run
+        path = tmp_path / "flood.cfg"
+        path.write_text(
+            DIAMOND_CFG.replace("duration = 12", "duration = 12\nrate = 1e300")
+        )
+        code = main(["run", "--config", str(path), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: traffic.rate: must be <= 1000, got 1e300" in err
+
+    def test_overflow_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "steep.cfg"
+        path.write_text(
+            DIAMOND_CFG.replace(
+                "iterations = 15", "iterations = 15\nalpha = 100000\nphi0 = 2"
+            )
+        )
+        code = main(["run", "--config", str(path), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unwritable_output(self, config_file, tmp_path, capsys):
         code = main(["run", "--config", str(config_file), "--seed", "1",
                      "--out", str(tmp_path / "missing_dir" / "out.json")])

@@ -8,6 +8,7 @@ from antjam.config import (
     MAX_ANT_TOURS,
     MAX_DURATION,
     MAX_NODES,
+    MAX_RATE,
     ConfigError,
     ExplicitNetworkSpec,
     GridNetworkSpec,
@@ -280,6 +281,18 @@ class TestErrors:
             for key, reason in errors
         )
 
+    @pytest.mark.parametrize("key", ["snr_total", "total_hops", "energy_capacity"])
+    def test_infinite_metrics_total_names_the_key(self, key):
+        # an infinite total used to fail every run late, on a NaN factor
+        text = MINIMAL + f"\n[metrics]\n{key} = inf\n"
+        expected = [(f"metrics.{key}", "must be < inf, got inf")]
+        assert errors_of(text) == expected
+        with pytest.raises(ConfigError) as excinfo:
+            ref.parse_config(text)
+        assert excinfo.value.errors == expected
+        cfg = parse_config(MINIMAL + f"\n[metrics]\n{key} = 1e308\n")
+        assert getattr(cfg, key) == 1e308
+
     def test_cycle_keys_rejected_for_non_random_kinds(self):
         errors = errors_of(
             MINIMAL + "\n[jammer]\nkind = constant\nx = 0\ny = 0\n"
@@ -444,6 +457,17 @@ class TestCeilings:
         assert errors_of(traffic.format(MAX_DURATION + 1)) == [
             ("traffic.duration", f"must be <= {MAX_DURATION}, got {MAX_DURATION + 1}")
         ]
+
+    def test_rate(self):
+        # a huge rate never drained a source's emit accumulator
+        traffic = MINIMAL + "\n[traffic]\nrate = {}\n"
+        assert parse_config(traffic.format(MAX_RATE)).rate == MAX_RATE
+        for text in (str(MAX_RATE + 1), "inf", "1e300"):
+            expected = [("traffic.rate", f"must be <= {MAX_RATE}, got {text}")]
+            assert errors_of(traffic.format(text)) == expected
+            with pytest.raises(ConfigError) as excinfo:
+                ref.parse_config(traffic.format(text))
+            assert excinfo.value.errors == expected
 
     def test_ant_tours_per_search(self):
         search = MINIMAL + "\n[search]\nn_explorers = 10\nn_exploiters = 10\n"

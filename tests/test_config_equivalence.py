@@ -48,9 +48,9 @@ SECTIONS = {
         "debounce": (["1", "3"], ["0"]),
     },
     "metrics": {
-        "snr_total": (["10", "12"], ["0"]),
-        "total_hops": (["3", "14"], ["0", "-2"]),
-        "energy_capacity": (["600", "inf"], ["0"]),
+        "snr_total": (["10", "12"], ["0", "inf"]),
+        "total_hops": (["3", "14"], ["0", "-2", "inf"]),
+        "energy_capacity": (["600", "1e308"], ["0", "inf"]),
     },
     "search": {
         "q": (["0", "1", "2.5"], ["-1"]),
@@ -65,7 +65,7 @@ SECTIONS = {
     },
     "traffic": {
         "sources": (["2", "3", "2, 3", "3,2,3"], ["-1", "0", "1", "99", ", ,"]),
-        "rate": (["0", "0.5", "1"], ["-1"]),
+        "rate": (["0", "0.5", "1", "1000"], ["-1", "1000.5", "inf"]),
         "duration": (["0", "100"], ["-5"]),
     },
     "sim": {

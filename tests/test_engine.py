@@ -8,10 +8,12 @@ from antjam.config import (
     GridNetworkSpec,
     JammerSpec,
     ScenarioConfig,
+    parse_config,
 )
 from antjam.engine import Simulation, run_scenario
 from antjam.jammers import RadioParams
 from antjam.reporting import report_json_bytes
+from test_report_digests import CHURN, GRID49
 
 FAST_SEARCH = SearchParams(n_explorers=4, n_exploiters=4, iterations=15)
 
@@ -444,3 +446,16 @@ class TestDeterminism:
         first = run_scenario(cfg, seed=9)
         again = Simulation(cfg, seed=9).run()
         assert report_json_bytes(first) == report_json_bytes(again)
+
+    def test_simulations_stepped_alternately_match_their_solo_runs(self):
+        # each network holds its own radio picture: nothing is shared
+        configs = [parse_config(GRID49), parse_config(CHURN)]
+        solo = [report_json_bytes(run_scenario(cfg, seed=7)) for cfg in configs]
+        sims = [Simulation(cfg, seed=7) for cfg in configs]
+        for t in range(max(cfg.duration for cfg in configs)):
+            for sim in sims:
+                if t < sim.config.duration:
+                    sim.step()
+                    if sim.config.reroute:
+                        sim.detect_and_reroute()
+        assert [report_json_bytes(sim.report()) for sim in sims] == solo

@@ -246,6 +246,15 @@ class TestDeceptiveVictims:
         # node 2 is isolated from 0/1 but in mutual range of nobody: skipped
         assert 2 not in victims
 
+    def test_equal_key_returns_the_same_victims(self):
+        net = build_network(
+            [((0.0, 0.0), 10.0, 2.0), ((1.0, 0.0), 10.0, 2.0)], 1
+        )
+        j = make_jammer(JammerKind.DECEPTIVE, power=5.0, position=(0.0, 1.0))
+        victims = deceptive_victims(net, [j], 0, RadioParams())
+        assert victims == {0, 1} and isinstance(victims, frozenset)
+        assert deceptive_victims(net, [j], 1, RadioParams()) is victims
+
     def test_constant_jammer_makes_no_victims(self):
         net = build_network(
             [((0.0, 0.0), 10.0, 2.0), ((1.0, 0.0), 10.0, 2.0)], 1
@@ -293,6 +302,22 @@ class TestSampleRadio:
         j.power = 1e-6  # a new emission is a new picture
         quiet = sample_radio(net, [j], 2, radio, Random(0))
         assert quiet is not first and jammed_from_samples(quiet) == set()
+
+    def test_picture_is_kept_until_a_link_goes(self):
+        # 0 - 1 - 2 on a line, and 3 out of everyone's range
+        net = build_network(
+            [((0.0, 0.0), 10.0, 2.0), ((1.0, 0.0), 10.0, 2.0),
+             ((2.0, 0.0), 10.0, 2.0), ((50.0, 0.0), 10.0, 2.0)],
+            1,
+        )
+        radio = RadioParams(tx_power=0.1)
+        j = make_jammer(JammerKind.CONSTANT, power=5.0, position=(0.5, 0.0))
+        first = sample_radio(net, [j], 0, radio, Random(0))
+        assert net.drain_energy(3, 10.0)  # the isolated node dies: no link goes
+        assert sample_radio(net, [j], 1, radio, Random(0)) is first
+        assert net.drain_energy(2, 10.0)  # a linked node dies
+        after = sample_radio(net, [j], 2, radio, Random(0))
+        assert after is not first and set(after) == {0, 1}
 
     def test_flags_of_another_mapping_follow_its_contents(self):
         samples = {0: RadioSample(1.0, 2.0)}

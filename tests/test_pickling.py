@@ -16,7 +16,7 @@ import pytest
 
 from antjam.config import parse_config
 from antjam.engine import Simulation
-from antjam.jammers import sample_radio
+from antjam.jammers import jammed_from_samples, sample_radio
 from antjam.metrics import build_link_metrics, quality_from_metrics
 from antjam.reporting import report_json_bytes
 from test_report_digests import CHURN
@@ -56,6 +56,7 @@ def test_network_copies(sims, when, how):
     want = sample_radio(net, sim.jammers, t, sim.radio, Random(5))
     got = sample_radio(twin, sim.jammers, t, sim.radio, Random(5))
     assert dict(got) == dict(want)
+    assert jammed_from_samples(got) == jammed_from_samples(want)
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))
