@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import run_scenario
-from .reporting import compare_csv_bytes, emit_report, sweep_csv_bytes, write_bytes
+from .reporting import RunRow, compare_csv_bytes, emit_report, sweep_csv_bytes, write_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,18 +52,17 @@ def _worker_count() -> int:
     return max(1, min(count, os.cpu_count() or 1))
 
 
-def _run_one(job: tuple[ScenarioConfig, int]):
-    config, seed = job
-    return run_scenario(config, seed)
+def _run_row(config: ScenarioConfig, seed: int) -> RunRow:
+    return RunRow.of(run_scenario(config, seed))
 
 
-def _run_batch(config: ScenarioConfig, seeds: list[int]):
-    workers = _worker_count()
-    jobs = [(config, seed) for seed in seeds]
-    if workers == 1 or len(jobs) == 1:
-        return [_run_one(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_run_one, jobs))
+def _run_batch(configs: list[ScenarioConfig], seeds: list[int]) -> list[RunRow]:
+    """The row of each (config, seed) job, in order; only rows leave a worker."""
+    workers = min(_worker_count(), len(seeds))
+    if workers == 1:
+        return list(map(_run_row, configs, seeds))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_row, configs, seeds))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,18 +112,25 @@ def main(argv: list[str] | None = None) -> int:
             emit_report(report, fmt, destination)
         elif args.command == "sweep":
             seeds = _parse_seed_range(args.seeds)
-            reports = _run_batch(config, seeds)
-            write_bytes(sweep_csv_bytes(reports), args.out or config.output_path)
+            rows = _run_batch([config] * len(seeds), seeds)
+            write_bytes(sweep_csv_bytes(rows), args.out or config.output_path)
         else:
             seeds = _parse_seed_range(args.seeds)
-            enabled_cfg = dataclasses.replace(config, reroute=True)
-            baseline_cfg = dataclasses.replace(config, reroute=False)
-            enabled = _run_batch(enabled_cfg, seeds)
-            baseline = _run_batch(baseline_cfg, seeds)
-            pairs = list(zip(enabled, baseline))
+            # one batch: each seed's (reroute on, reroute off) pair, in seed order
+            both = [dataclasses.replace(config, reroute=on) for on in (True, False)]
+            rows = _run_batch(both * len(seeds), [s for s in seeds for _ in both])
+            pairs = list(zip(rows[::2], rows[1::2]))
             write_bytes(compare_csv_bytes(pairs), args.out or config.output_path)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:  # from the ants' pheromone and distance powers
+        s = config.search
+        print(
+            f"error: ant weights overflow with [search] alpha = {s.alpha!r}, "
+            f"beta = {s.beta!r}: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

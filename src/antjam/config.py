@@ -290,12 +290,12 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
         _Key("energy_capacity", float, gt=0, lt=math.inf),
     )),
     "search": (SearchParams, (
-        _Key("q", float, ge=0),
+        _Key("q", float, ge=0, lt=math.inf),
         _Key("rho", float, ge=0.0, le=1.0),
         _Key("alpha", float, ge=0), _Key("beta", float, ge=0),
         _Key("n_explorers", int, ge=0), _Key("n_exploiters", int, ge=0),
         _Key("iterations", int, ge=1),
-        _Key("phi0", float, gt=0),
+        _Key("phi0", float, gt=0, lt=math.inf),
         _Key("psl_delta", float, ge=0.0, lt=1.0),
     )),
     "traffic": (None, (

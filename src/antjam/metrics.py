@@ -321,13 +321,6 @@ def build_link_metrics(
     return table
 
 
-def quality_from_metrics(
-    table: Mapping[tuple[int, int], LinkMetrics],
-) -> Mapping[tuple[int, int], float]:
-    """Quality of every link in the table, in the table's order.
-
-    A LinkTable is scored once per entry rather than once per link.
-    """
-    if isinstance(table, LinkTable):
-        return table.map(link_quality)
-    return {link: link_quality(m) for link, m in table.items()}
+def quality_from_metrics(table: LinkTable[LinkMetrics]) -> LinkTable[float]:
+    """Quality of every link in the table, scored once per entry."""
+    return table.map(link_quality)

@@ -279,27 +279,24 @@ def random_geometric_network(
     """Uniform random placement over a width x height rectangle.
 
     With connected=True, placement is redrawn until every node can reach the
-    processing element (up to max_tries attempts).
+    processing element; ValueError after max_tries attempts. Two nodes drawn
+    at one point raise ValueError from build_network.
     """
     if count < 2:
         raise ValueError("need at least two nodes")
     if width <= 0 or height <= 0:
         raise ValueError("area dimensions must be positive")
     for _ in range(max_tries):
-        positions: list[Position] = []
-        seen: set[Position] = set()
-        while len(positions) < count:
-            p = (rng.uniform(0.0, width), rng.uniform(0.0, height))
-            if p in seen:
-                continue
-            seen.add(p)
-            positions.append(p)
+        positions = [
+            (rng.uniform(0.0, width), rng.uniform(0.0, height))
+            for _ in range(count)
+        ]
         net = build_network(
             [(p, energy, radio_range) for p in positions], pe_index
         )
         if not connected or len(hop_counts(net, net.pe_id)) == count:
             return net
-    raise RuntimeError(
+    raise ValueError(
         f"no connected placement found in {max_tries} tries; "
         "grow radio_range or shrink the area"
     )

@@ -10,20 +10,30 @@ from __future__ import annotations
 import io
 import json
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import RunReport
 
-SWEEP_COLUMNS = (
-    "seed",
-    "pdr",
-    "mean_delay",
-    "reroutes",
-    "sent",
-    "delivered",
-    "dropped",
-    "jammed_peak",
-)
+
+class RunRow(NamedTuple):
+    """One run's sweep columns, unrounded: all a sweep or compare keeps."""
+
+    seed: int
+    pdr: float
+    mean_delay: float
+    reroutes: int
+    sent: int
+    delivered: int
+    dropped: int
+    jammed_peak: int
+
+    @classmethod
+    def of(cls, run: RunReport | RunRow) -> RunRow:
+        """The columns read off a RunReport, or off another row."""
+        return cls(*(getattr(run, name) for name in cls._fields))
+
+
+SWEEP_COLUMNS = RunRow._fields
 
 COMPARE_COLUMNS = (
     "seed",
@@ -80,34 +90,22 @@ def report_json_bytes(report: RunReport) -> bytes:
     return (json.dumps(report_dict(report), indent=2) + "\n").encode("utf-8")
 
 
-def _run_row(report: RunReport) -> list[str]:
-    return [
-        str(report.seed),
-        fmt6(report.pdr),
-        fmt6(report.mean_delay),
-        str(report.reroutes),
-        str(report.sent),
-        str(report.delivered),
-        str(report.dropped),
-        str(report.jammed_peak),
-    ]
+def _run_row(row: RunRow) -> str:
+    return ",".join(fmt6(v) if isinstance(v, float) else str(v) for v in row)
 
 
-def report_csv_bytes(report: RunReport) -> bytes:
-    lines = [",".join(SWEEP_COLUMNS), ",".join(_run_row(report))]
+def report_csv_bytes(report: RunReport | RunRow) -> bytes:
+    lines = [",".join(SWEEP_COLUMNS), _run_row(RunRow.of(report))]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def sweep_csv_bytes(reports: Sequence[RunReport]) -> bytes:
+def sweep_csv_bytes(reports: Sequence[RunReport | RunRow]) -> bytes:
     """One row per seed plus mean/min/max trailer rows (column-wise)."""
     if not reports:
         raise ValueError("no reports to summarize")
-    lines = [",".join(SWEEP_COLUMNS)]
-    for report in reports:
-        lines.append(",".join(_run_row(report)))
-    columns = [
-        [float(getattr(r, name)) for r in reports] for name in SWEEP_COLUMNS[1:]
-    ]
+    rows = [RunRow.of(report) for report in reports]
+    lines = [",".join(SWEEP_COLUMNS)] + [_run_row(row) for row in rows]
+    columns = [[float(v) for v in column] for column in list(zip(*rows))[1:]]
     for label, pick in (
         ("mean", lambda vs: sum(vs) / len(vs)),
         ("min", min),
@@ -117,7 +115,9 @@ def sweep_csv_bytes(reports: Sequence[RunReport]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def compare_csv_bytes(pairs: Sequence[tuple[RunReport, RunReport]]) -> bytes:
+def compare_csv_bytes(
+    pairs: Sequence[tuple[RunReport | RunRow, RunReport | RunRow]],
+) -> bytes:
     """Per-seed paired rows; each pair is (reroute enabled, baseline)."""
     if not pairs:
         raise ValueError("no report pairs to summarize")

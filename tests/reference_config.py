@@ -5,7 +5,7 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Six fixes are applied on top of the original code, and nothing else:
+Seven fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
 unknown key whenever another `[network]` key was invalid); an infinite
@@ -15,9 +15,11 @@ than two parts, such as `1..2..9`, is rejected (it used to be read as
 `1..2`); an `[output] path` continued over several lines is rejected
 (`format_config` wrote it back over several lines, which did not parse); a
 `[traffic] rate` above 1000 packets per source per step is rejected (an
-infinite or huge rate never finished a step); and an infinite `[metrics]`
+infinite or huge rate never finished a step); an infinite `[metrics]`
 `snr_total`, `total_hops` or `energy_capacity` is rejected (`< inf`; every
-run then failed late on a NaN quality factor that named no key).
+run then failed late on a NaN quality factor that named no key); and an
+infinite `[search]` `q` or `phi0` is rejected (`< inf`; every run then failed
+late on transition probabilities that summed to NaN and named no key).
 """
 
 from __future__ import annotations
@@ -339,14 +341,16 @@ def parse_config(text: str) -> ScenarioConfig:
     search = SearchParams()
     if "search" in sections:
         sec = sections["search"]
-        q = sec.get_float("q", default=search.q, lo=0)
+        q = sec.get_float("q", default=search.q, lo=0, hi=math.inf, hi_open=True)
         rho = sec.get_float("rho", default=search.rho, lo=0.0, hi=1.0)
         alpha = sec.get_float("alpha", default=search.alpha, lo=0)
         beta = sec.get_float("beta", default=search.beta, lo=0)
         n_explorers = sec.get_int("n_explorers", default=search.n_explorers, lo=0)
         n_exploiters = sec.get_int("n_exploiters", default=search.n_exploiters, lo=0)
         iterations = sec.get_int("iterations", default=search.iterations, lo=1)
-        phi0 = sec.get_float("phi0", default=search.phi0, lo=0, lo_open=True)
+        phi0 = sec.get_float(
+            "phi0", default=search.phi0, lo=0, lo_open=True, hi=math.inf, hi_open=True
+        )
         psl_delta = sec.get_float(
             "psl_delta", default=search.psl_delta, lo=0.0, hi=1.0, hi_open=True
         )

@@ -16,7 +16,7 @@ from antjam.cli import (
 )
 from antjam.config import parse_config
 from antjam.engine import run_scenario
-from antjam.reporting import COMPARE_COLUMNS, SWEEP_COLUMNS, report_json_bytes
+from antjam.reporting import COMPARE_COLUMNS, SWEEP_COLUMNS, RunRow, report_json_bytes
 
 import pytest
 
@@ -159,6 +159,14 @@ class TestSweepCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestBatch:
+    def test_batch_returns_rows_not_reports(self):
+        config = parse_config(DIAMOND_CFG)
+        rows = cli._run_batch([config, config], [1, 2])
+        assert rows == [RunRow.of(run_scenario(config, seed)) for seed in (1, 2)]
+        assert all(type(row) is RunRow for row in rows)
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize(
         "raw, cpus, expected",
@@ -200,6 +208,18 @@ class TestCompareCommand:
             assert float(fields["delta_pdr"]) > 0.0
             assert float(fields["pdr_reroute"]) > float(fields["pdr_baseline"])
             assert int(fields["reroutes"]) >= 1
+
+    def test_parallel_workers_match_serial_bytes(self, config_file, tmp_path,
+                                                 monkeypatch):
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        monkeypatch.setenv("ANTJAM_WORKERS", "1")
+        main(["compare", "--config", str(config_file), "--seeds", "0..2",
+              "--out", str(serial)])
+        monkeypatch.setenv("ANTJAM_WORKERS", "2")
+        main(["compare", "--config", str(config_file), "--seeds", "0..2",
+              "--out", str(parallel)])
+        assert serial.read_bytes() == parallel.read_bytes()
 
 
 class TestExitCodes:
@@ -248,6 +268,28 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "[search] alpha = 100000.0, beta = 1.0" in err
+
+    @pytest.mark.parametrize(
+        "area, reason",
+        [
+            # 10 nodes in an area that holds 4 distinct points
+            ("width = 5e-324\nheight = 5e-324\nrange = 1",
+             "share coordinates"),
+            ("range = 0.001", "no connected placement found in 200 tries"),
+        ],
+        ids=["tiny-area", "short-range"],
+    )
+    def test_failed_placement_is_config_error(self, tmp_path, area, reason):
+        path = tmp_path / "field.cfg"
+        path.write_text(f"[network]\nlayout = random\ncount = 10\n{area}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "antjam", "run", "--config", str(path), "--seed", "1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: ") and reason in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_output(self, config_file, tmp_path, capsys):
         code = main(["run", "--config", str(config_file), "--seed", "1",

@@ -293,6 +293,18 @@ class TestErrors:
         cfg = parse_config(MINIMAL + f"\n[metrics]\n{key} = 1e308\n")
         assert getattr(cfg, key) == 1e308
 
+    @pytest.mark.parametrize("key", ["q", "phi0"])
+    def test_infinite_search_value_names_the_key(self, key):
+        # an infinite q or phi0 used to fail every run late, on a NaN sum
+        text = MINIMAL + f"\n[search]\n{key} = inf\n"
+        expected = [(f"search.{key}", "must be < inf, got inf")]
+        assert errors_of(text) == expected
+        with pytest.raises(ConfigError) as excinfo:
+            ref.parse_config(text)
+        assert excinfo.value.errors == expected
+        cfg = parse_config(MINIMAL + f"\n[search]\n{key} = 1e308\n")
+        assert getattr(cfg.search, key) == 1e308
+
     def test_cycle_keys_rejected_for_non_random_kinds(self):
         errors = errors_of(
             MINIMAL + "\n[jammer]\nkind = constant\nx = 0\ny = 0\n"

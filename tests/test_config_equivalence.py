@@ -4,7 +4,9 @@ The package declares every key once in a table that both `parse_config` and
 `format_config` walk; the reference reads and writes each key by hand. On
 generated documents both must give equal configs, or the same ordered list
 of errors, and every valid config must survive `format_config` followed by
-`parse_config`, with either side's writer and reader.
+`parse_config`, with either side's writer and reader. Generated documents
+rarely draw any one bad text, so each text in the tables is also read alone,
+in an otherwise valid document.
 """
 
 from datetime import timedelta
@@ -53,14 +55,14 @@ SECTIONS = {
         "energy_capacity": (["600", "1e308"], ["0", "inf"]),
     },
     "search": {
-        "q": (["0", "1", "2.5"], ["-1"]),
+        "q": (["0", "1", "2.5", "1e308"], ["-1", "inf"]),
         "rho": (["0", "0.3", "1", "1.0"], ["1.0000001", "-0.1"]),
         "alpha": (["0", "1", "2"], ["-1"]),
         "beta": (["0", "1", "2"], ["-0.5"]),
         "n_explorers": (["0", "4", "10"], ["-1"]),
         "n_exploiters": (["0", "5"], ["-1"]),
         "iterations": (["1", "40"], ["0"]),
-        "phi0": (["0.5", "1"], ["0"]),
+        "phi0": (["0.5", "1", "1e308"], ["0", "inf"]),
         "psl_delta": (["0", "0.2"], ["1", "1.0", "-0.1"]),
     },
     "traffic": {
@@ -176,10 +178,8 @@ def document(rng):
     return "\n".join(out)
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=1))
-@given(st.integers(0, 2**32 - 1))
-def test_matches_reference_config(seed):
-    text = document(Random(seed))
+def assert_readers_agree(text):
+    """Equal configs or equal ordered errors; a config survives both writers."""
     try:
         want = ref.parse_config(text)
     except ConfigError as exc:
@@ -192,3 +192,37 @@ def test_matches_reference_config(seed):
     assert parse_config(format_config(cfg)) == cfg
     assert ref.parse_config(format_config(cfg)) == cfg
     assert parse_config(ref.format_config(cfg)) == cfg
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=1))
+@given(st.integers(0, 2**32 - 1))
+def test_matches_reference_config(seed):
+    assert_readers_agree(document(Random(seed)))
+
+
+def single_value_cases():
+    """Every table text once, alone in an otherwise valid document."""
+    grid = {"layout": "grid", "rows": "2", "cols": "2", "range": "12"}
+    random = {"layout": "random", "count": "5", "range": "30"}
+    jammer = {"kind": "constant", "x": "0", "y": "0", "power": "0.1"}
+    random_keys = ["count"] + LAYOUT_KEYS["random"][1]
+    cases = [("network", key, random if key in random_keys else grid, *texts)
+             for key, texts in NETWORK.items()]
+    cases += [(section, key, {}, *texts)
+              for section, keys in SECTIONS.items() for key, texts in keys.items()]
+    cases += [("jammer", key, jammer, *texts) for key, texts in JAMMER.items()]
+    cases += [("jammer", key, {**jammer, "kind": kind}, valid, bad)
+              for key, (kind, valid, bad) in JAMMER_KIND_KEYS.items()]
+    for section, key, base, valid, bad in cases:
+        for text in valid + bad:
+            # a [network] case replaces the grid section in place
+            sections = {"network": grid, section: {**base, key: text}}
+            lines = []
+            for name, keys in sections.items():
+                lines += [f"[{name}]"] + [f"{k} = {v}" for k, v in keys.items()]
+            yield pytest.param("\n".join(lines) + "\n", id=f"{section}.{key}={text}")
+
+
+@pytest.mark.parametrize("text", single_value_cases())
+def test_each_value_matches_reference_config(text):
+    assert_readers_agree(text)

@@ -189,6 +189,28 @@ class TestGenerators:
             assert 0.0 <= x <= 30.0
             assert 0.0 <= y <= 60.0
 
+    def test_tiny_area_raises_promptly(self):
+        # only 4 distinct points fit, so 10 nodes must share one; redrawing
+        # a shared point never ended
+        class CountedRandom(Random):
+            draws = 0
+
+            def uniform(self, a, b):
+                self.draws += 1
+                assert self.draws <= 20, "placement keeps redrawing"
+                return super().uniform(a, b)
+
+        with pytest.raises(ValueError, match="share coordinates"):
+            random_geometric_network(
+                10, 5e-324, 5e-324, 1.0, 50.0, CountedRandom(1), connected=True
+            )
+
+    def test_no_connected_placement_is_value_error(self):
+        with pytest.raises(ValueError, match="^no connected placement found in 3 tries"):
+            random_geometric_network(
+                10, 100.0, 100.0, 0.001, 50.0, Random(1), connected=True, max_tries=3
+            )
+
     def test_links_mutual_on_random_nets(self):
         # the link rule distance <= min(range) is symmetric by construction;
         # spot-check on heterogeneous ranges

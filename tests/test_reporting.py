@@ -6,6 +6,7 @@ from antjam.engine import RunReport, SearchSummary
 from antjam.reporting import (
     COMPARE_COLUMNS,
     SWEEP_COLUMNS,
+    RunRow,
     compare_csv_bytes,
     emit_report,
     fmt6,
@@ -94,6 +95,18 @@ class TestSweepCsv:
         assert lines[3] == "mean,0.75,3,1,10,7.5,2.5,2"
         assert lines[4] == "min,0.5,2,0,10,5,0,1"
         assert lines[5] == "max,1,4,2,10,10,5,3"
+
+    def test_rows_give_the_reports_bytes(self):
+        reports = [make_report(seed=0, pdr=0.123456789, delay=2.5), make_report()]
+        rows = [RunRow.of(report) for report in reports]
+        assert rows[0] == (0, 0.123456789, 2.5, 1, 8, 7, 1, 2)
+        assert RunRow.of(rows[0]) == rows[0]
+        assert report_csv_bytes(rows[1]).decode().splitlines()[1] == "1,0.875,2,1,8,7,1,2"
+        assert report_csv_bytes(rows[0]) == report_csv_bytes(reports[0])
+        assert sweep_csv_bytes(rows) == sweep_csv_bytes(reports)
+        assert compare_csv_bytes([(rows[1], rows[1])]) == compare_csv_bytes(
+            [(reports[1], reports[1])]
+        )
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
