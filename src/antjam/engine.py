@@ -15,6 +15,7 @@ serialized reports byte for byte.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import Mapping
@@ -40,6 +41,9 @@ from .metrics import (
     quality_from_metrics,
 )
 from .network import euclidean_distance
+
+# step trace values per step: t, sent, delivered, dropped, in_flight, flagged
+ROW = 6
 
 
 @dataclass
@@ -72,23 +76,47 @@ class SearchSummary:
 
 @dataclass
 class RunReport:
-    """Outcome of one scenario run."""
+    """Outcome of one scenario run.
+
+    The packet totals and jam counts are read off the step trace, which is
+    held once, flat, ROW int64 values per step.
+    """
 
     seed: int
     duration: int
-    sent: int
-    delivered: int
-    dropped: int
-    in_flight: int
-    pdr: float
     mean_delay: float
     reroutes: int
-    jammed_peak: int
     energy_spent: dict[int, float]
-    jammed_per_step: list[int]
     searches: list[SearchSummary]
-    # per step: [t, sent, delivered, dropped, in_flight, flagged]
-    trace: list[list[int]]
+    flat_trace: array
+
+    # the totals are the last row's
+    sent = property(lambda self: self._last(1))
+    delivered = property(lambda self: self._last(2))
+    dropped = property(lambda self: self._last(3))
+    in_flight = property(lambda self: self._last(4))
+
+    def _last(self, column: int) -> int:
+        return self.flat_trace[column - ROW] if self.flat_trace else 0
+
+    @property
+    def pdr(self) -> float:
+        sent = self.sent
+        return self.delivered / sent if sent else 1.0
+
+    @property
+    def jammed_per_step(self) -> list[int]:
+        return self.flat_trace[ROW - 1 :: ROW].tolist()
+
+    @property
+    def jammed_peak(self) -> int:
+        return max(self.flat_trace[ROW - 1 :: ROW], default=0)
+
+    @property
+    def trace(self) -> list[list[int]]:
+        """Per step: [t, sent, delivered, dropped, in_flight, flagged]."""
+        flat = self.flat_trace
+        return [flat[i : i + ROW].tolist() for i in range(0, len(flat), ROW)]
 
 
 @dataclass
@@ -110,7 +138,7 @@ class ScenarioState:
     dropped: int = 0
     delay_sum: int = 0
     reroutes: int = 0
-    trace: list[list[int]] = field(default_factory=list)
+    trace: array = field(default_factory=lambda: array("q"))  # ROW values per step
     searches: list[SearchSummary] = field(default_factory=list)
 
 
@@ -278,8 +306,8 @@ class Simulation:
 
         st.last_transmitters = transmitters
         st.last_samples = samples
-        st.trace.append(
-            [t, st.sent, st.delivered, st.dropped, len(st.packets), len(flags)]
+        st.trace.extend(
+            (t, st.sent, st.delivered, st.dropped, len(st.packets), len(flags))
         )
         for i in sorted(st.unreported_dead):
             events.append(Event(t, "death", node=i))
@@ -349,8 +377,6 @@ class Simulation:
 
     def report(self) -> RunReport:
         st = self.state
-        jammed_per_step = [row[5] for row in st.trace]  # the flagged column
-        pdr = st.delivered / st.sent if st.sent else 1.0
         mean_delay = st.delay_sum / st.delivered if st.delivered else 0.0
         energy_spent = {
             i: self._initial_energy[i] - self.net.nodes[i].energy
@@ -359,18 +385,11 @@ class Simulation:
         return RunReport(
             seed=self.seed,
             duration=self.config.duration,
-            sent=st.sent,
-            delivered=st.delivered,
-            dropped=st.dropped,
-            in_flight=len(st.packets),
-            pdr=pdr,
             mean_delay=mean_delay,
             reroutes=st.reroutes,
-            jammed_peak=max(jammed_per_step, default=0),
             energy_spent=energy_spent,
-            jammed_per_step=jammed_per_step,
             searches=list(st.searches),
-            trace=[list(row) for row in st.trace],
+            flat_trace=st.trace[:],  # a copy, so later steps leave it as it is
         )
 
 

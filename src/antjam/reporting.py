@@ -12,7 +12,7 @@ import json
 import sys
 from typing import NamedTuple, Sequence
 
-from .engine import RunReport
+from .engine import ROW, RunReport
 
 
 class RunRow(NamedTuple):
@@ -55,39 +55,78 @@ def round6(value: float) -> float:
     return float(fmt6(value))
 
 
-def report_dict(report: RunReport) -> dict:
-    """RunReport as a JSON-ready dict with fixed key order and rounded floats."""
-    return {
-        "seed": report.seed,
-        "duration": report.duration,
-        "sent": report.sent,
-        "delivered": report.delivered,
-        "dropped": report.dropped,
-        "in_flight": report.in_flight,
-        "pdr": round6(report.pdr),
-        "mean_delay": round6(report.mean_delay),
-        "reroutes": report.reroutes,
-        "jammed_peak": report.jammed_peak,
-        "energy_spent": {
-            str(i): round6(v) for i, v in sorted(report.energy_spent.items())
-        },
-        "jammed_per_step": list(report.jammed_per_step),
-        "searches": [
-            {
-                "step": s.step,
-                "source": s.source,
-                "found": s.found,
-                "best_score": round6(s.best_score),
-                "successes": s.successes,
-            }
-            for s in report.searches
-        ],
-        "trace": [list(row) for row in report.trace],
-    }
+# items of a per-step array formatted by one `%` call
+_CHUNK = 4096
+# %d template of one trace row
+_ROW_ITEM = b"[" + b",".join([b"\n      %d"] * ROW) + b"\n    ]"
+
+
+def _write_array(
+    out: io.BytesIO, values: Sequence[int], width: int, item: bytes
+) -> None:
+    """Write `values` as json.dumps(indent=2) writes a list nested one level deep.
+
+    Each item takes `width` values, rendered through the %d template `item`.
+    """
+    if not values:
+        out.write(b"[]")
+        return
+    out.write(b"[")
+    step = _CHUNK * width
+    for i in range(0, len(values), step):
+        part = values[i : i + step]
+        text = (b",\n    " + item) * (len(part) // width) % tuple(part)
+        out.write(text[1:] if i == 0 else text)  # no comma before the first
+    out.write(b"\n  ]")
 
 
 def report_json_bytes(report: RunReport) -> bytes:
-    return (json.dumps(report_dict(report), indent=2) + "\n").encode("utf-8")
+    """RunReport as indented JSON, fixed key order, floats rounded to 6 digits.
+
+    The bytes are those of json.dumps(..., indent=2). json.dumps writes the
+    head and the searches; the two per-step arrays are written from the flat
+    trace in chunks, so no Python object is built per value.
+    """
+    head = json.dumps(
+        {
+            "seed": report.seed,
+            "duration": report.duration,
+            "sent": report.sent,
+            "delivered": report.delivered,
+            "dropped": report.dropped,
+            "in_flight": report.in_flight,
+            "pdr": round6(report.pdr),
+            "mean_delay": round6(report.mean_delay),
+            "reroutes": report.reroutes,
+            "jammed_peak": report.jammed_peak,
+            "energy_spent": {
+                str(i): round6(v) for i, v in sorted(report.energy_spent.items())
+            },
+            "jammed_per_step": [],
+            "searches": [
+                {
+                    "step": s.step,
+                    "source": s.source,
+                    "found": s.found,
+                    "best_score": round6(s.best_score),
+                    "successes": s.successes,
+                }
+                for s in report.searches
+            ],
+            "trace": [],
+        },
+        indent=2,
+    )
+    before, _, rest = head.partition('"jammed_per_step": []')
+    middle, _, after = rest.partition('"trace": []')
+    flat = report.flat_trace
+    out = io.BytesIO()
+    out.write(f'{before}"jammed_per_step": '.encode())
+    _write_array(out, flat[ROW - 1 :: ROW], 1, b"%d")  # the flagged counts
+    out.write(f'{middle}"trace": '.encode())
+    _write_array(out, flat, ROW, _ROW_ITEM)
+    out.write(f"{after}\n".encode())
+    return out.getvalue()
 
 
 def _run_row(row: RunRow) -> str:

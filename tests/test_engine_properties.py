@@ -25,7 +25,7 @@ from antjam.config import (
     format_config,
     parse_config,
 )
-from antjam.engine import Simulation, run_scenario
+from antjam.engine import ROW, Simulation, run_scenario
 from antjam.jammers import RadioParams
 from antjam.reporting import report_json_bytes
 
@@ -126,7 +126,7 @@ def test_step_invariants(cfg, seed):
         events = sim.step()
         deaths.update(e.node for e in events if e.kind == "death")
         dead = {i for i, n in sim.net.nodes.items() if not n.alive}
-        t, sent, delivered, dropped, in_flight, _flagged = sim.state.trace[-1]
+        t, sent, delivered, dropped, in_flight, _flagged = sim.state.trace[-ROW:]
         assert sent == delivered + dropped + in_flight, f"imbalance at step {t}"
         jammed = {
             i for i, s in sim.state.last_samples.items()

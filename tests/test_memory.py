@@ -1,0 +1,60 @@
+"""Peak memory per simulated step of `antjam run`.
+
+A 3-node line with zero energy costs runs for SHORT and for LONG steps, each
+through `python -m antjam run` in a fresh child. A wrapper process runs the
+child and prints the child's peak resident set (`RUSAGE_CHILDREN`). The step
+trace is held as ROW int64 values per step, once in the state and once in the
+report, and the JSON writes about 90 bytes per step, so the peak must grow by
+less than 400 bytes per step. It grew by about 1,000 when every trace value
+was a Python int in a list per row and the JSON was built through a dict.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+resource = pytest.importorskip("resource")
+
+SHORT, LONG = 2_000, 50_000
+MAX_BYTES_PER_STEP = 400
+
+LINE = """
+[network]
+layout = explicit
+nodes = 0,0,100,12; 10,0,100,12; 20,0,100,12
+pe = 2
+
+[traffic]
+sources = 0
+duration = {duration}
+
+[sim]
+packet_energy_cost = 0
+ant_energy_cost = 0
+rx_energy_cost = 0
+"""
+
+# runs argv[1:] and prints its peak resident set in bytes
+WRAPPER = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak if sys.platform == "darwin" else peak * 1024)
+"""
+
+
+def peak_rss(tmp_path, duration):
+    path = tmp_path / f"line{duration}.cfg"
+    path.write_text(LINE.format(duration=duration))
+    run = [sys.executable, "-m", "antjam", "run", "--config", str(path),
+           "--seed", "1", "--out", "-"]
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, *run],
+                          capture_output=True, text=True, check=True, timeout=120)
+    return int(proc.stdout)
+
+
+def test_peak_rss_per_step(tmp_path):
+    growth = peak_rss(tmp_path, LONG) - peak_rss(tmp_path, SHORT)
+    per_step = growth / (LONG - SHORT)
+    assert per_step < MAX_BYTES_PER_STEP, f"{per_step:.0f} bytes per step"
