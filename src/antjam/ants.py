@@ -70,20 +70,20 @@ class SearchParams:
     psl_delta: float = 0.1  # sensitivity adaptation rate
 
     def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
+        if not 0 <= self.q < math.inf:
+            raise ValueError("q must be finite and >= 0")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and >= 0")
         if self.n_explorers < 0 or self.n_exploiters < 0:
             raise ValueError("colony sizes must be >= 0")
         if self.n_explorers + self.n_exploiters < 1:
             raise ValueError("need at least one ant")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.phi0 <= 0:
-            raise ValueError("phi0 must be positive")
+        if not 0 < self.phi0 < math.inf:
+            raise ValueError("phi0 must be positive and finite")
         if not 0.0 <= self.psl_delta < 1.0:
             raise ValueError("psl_delta must be in [0, 1)")
 

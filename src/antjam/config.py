@@ -280,7 +280,7 @@ _LAYOUT = _Key("layout", tuple(_LAYOUTS), required=True)
 # section -> (dataclass it fills, None for ScenarioConfig's own fields; keys)
 _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
     "radio": (RadioParams, (
-        _Key("floor", float, gt=0), _Key("tx_power", float, gt=0),
+        _Key("floor", float, gt=0), _Key("tx_power", float, gt=0, lt=math.inf),
         _Key("d0", float, gt=0), _Key("gamma", float, ge=0),
         _Key("debounce", int, ge=1),
     )),
@@ -292,7 +292,7 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
     "search": (SearchParams, (
         _Key("q", float, ge=0, lt=math.inf),
         _Key("rho", float, ge=0.0, le=1.0),
-        _Key("alpha", float, ge=0), _Key("beta", float, ge=0),
+        _Key("alpha", float, ge=0, lt=math.inf), _Key("beta", float, ge=0, lt=math.inf),
         _Key("n_explorers", int, ge=0), _Key("n_exploiters", int, ge=0),
         _Key("iterations", int, ge=1),
         _Key("phi0", float, gt=0, lt=math.inf),
@@ -318,7 +318,7 @@ _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
 _JAMMER_KEYS = (
     _Key("kind", tuple(k.value for k in JammerKind), required=True),
     _Key("x", float, required=True), _Key("y", float, required=True),
-    _Key("power", float, required=True, gt=0),
+    _Key("power", float, required=True, gt=0, lt=math.inf),
     _Key("start", int, ge=0),
 )
 # keys only some jammer kinds take; on any other kind they are unknown
@@ -516,14 +516,8 @@ def build_jammers(cfg: ScenarioConfig) -> list[Jammer]:
 
 
 def resolve_totals(cfg: ScenarioConfig, net: Network) -> MetricTotals:
-    return MetricTotals(
-        hops=cfg.total_hops if cfg.total_hops is not None else float(len(net.nodes)),
-        energy=(
-            cfg.energy_capacity
-            if cfg.energy_capacity is not None
-            else max(n.energy for n in net.nodes.values())
-        ),
-        snr=cfg.snr_total,
+    return MetricTotals.for_network(
+        net, cfg.snr_total, cfg.total_hops, cfg.energy_capacity
     )
 
 

@@ -42,8 +42,8 @@ class RadioParams:
     def __post_init__(self) -> None:
         if not self.floor > 0:
             raise ValueError("noise floor must be positive")
-        if not self.tx_power > 0:
-            raise ValueError("tx_power must be positive")
+        if not 0 < self.tx_power < math.inf:
+            raise ValueError("tx_power must be positive and finite")
         if not self.d0 > 0:
             raise ValueError("d0 must be positive")
         if not self.gamma >= 0:
@@ -54,15 +54,16 @@ class RadioParams:
 
 @dataclass(frozen=True)
 class RadioSample:
-    """Received signal and noise power at one node for one step."""
+    """Received signal and noise power at one node for one step. The signal
+    is finite and the noise may overflow to inf, so the SNR is never NaN."""
 
     p_signal: float
     p_noise: float
 
     def __post_init__(self) -> None:
-        if self.p_signal < 0:
-            raise ValueError("signal power must be >= 0")
-        if self.p_noise <= 0:
+        if not 0 <= self.p_signal < math.inf:
+            raise ValueError("signal power must be finite and >= 0")
+        if not self.p_noise > 0:
             raise ValueError("noise power must be positive")
 
 
@@ -89,8 +90,8 @@ class Jammer:
     def __post_init__(self) -> None:
         if any(math.isnan(c) for c in self.position):
             raise ValueError("jammer position must not be NaN")
-        if not self.power > 0:
-            raise ValueError("jammer power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("jammer power must be positive and finite")
         for name, rng_ in (("sleep_steps", self.sleep_steps), ("jam_steps", self.jam_steps)):
             lo, hi = rng_
             if lo < 1 or hi < lo:

@@ -108,25 +108,31 @@ class LinkCounters:
 
 @dataclass(frozen=True)
 class MetricTotals:
-    """Budgets the raw observations normalize against."""
+    """Budgets the raw observations normalize against. Each is positive and
+    finite, so the factors measured against them are in [0, 1]."""
 
     hops: float
     energy: float
     snr: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.hops <= 0 or self.energy <= 0 or self.snr <= 0:
-            raise ValueError("metric totals must be positive")
+        if not all(0 < total < math.inf for total in (self.hops, self.energy, self.snr)):
+            raise ValueError("metric totals must be positive and finite")
 
     @classmethod
-    def for_network(cls, net: Network, snr: float = 10.0) -> "MetricTotals":
+    def for_network(
+        cls, net: Network, snr: float = 10.0,
+        hops: float | None = None, energy: float | None = None,
+    ) -> "MetricTotals":
+        """The given budgets; an unset hop budget is the node count and an
+        unset energy budget the largest node energy."""
         # A simple path uses at most n-1 hops, so a budget of n keeps every
         # reachable hop count strictly above zero after normalizing.
-        return cls(
-            hops=float(len(net.nodes)),
-            energy=max(n.energy for n in net.nodes.values()),
-            snr=snr,
-        )
+        if hops is None:
+            hops = float(len(net.nodes))
+        if energy is None:
+            energy = max(n.energy for n in net.nodes.values())
+        return cls(hops, energy, snr)
 
 
 def _measure(
@@ -263,14 +269,6 @@ class LinkTable(Mapping[tuple[int, int], _V]):
         )
 
 
-def _attempt(*args) -> LinkMetrics | ValueError:
-    """_measure(*args), or the ValueError it raised."""
-    try:
-        return _measure(*args)
-    except ValueError as exc:
-        return exc
-
-
 def build_link_metrics(
     net: Network,
     samples: Mapping[int, RadioSample],
@@ -283,8 +281,12 @@ def build_link_metrics(
     Apart from its counter, a link (i, j) reads its source only through
     `i in flagged`. So the table measures each live node once as a
     destination, once more as the neighbour of a flagged node, and each
-    link with a counter on its own, all against one hop-count sweep. An
-    invalid measurement raises at the first link, in order, that reads it.
+    link with a counter on its own, all against one hop-count sweep.
+
+    Finite totals, energies and samples keep the hop, energy and SNR
+    factors in [0, 1], so only a link's own counter can be invalid. Own
+    entries are measured in ascending order, so the first bad counter
+    raises at its link, as measuring link by link would.
     """
     if totals is None:
         totals = MetricTotals.for_network(net)
@@ -292,33 +294,23 @@ def build_link_metrics(
     hops = hop_counts(net, net.pe_id, blocked=flagged)
     links = net.distance.copy()
     plain = {
-        j: _attempt(net, samples, j, False, None, totals, flagged, hops)
+        j: _measure(net, samples, j, False, None, totals, flagged, hops)
         for j, node in net.nodes.items()
         if node.alive
     }
     flagged_sources = (i for i in flagged if i in net.nodes)
     blocked = {
-        j: _attempt(net, samples, j, True, None, totals, flagged, hops)
+        j: _measure(net, samples, j, True, None, totals, flagged, hops)
         for j in set().union(*map(net.neighbors, flagged_sources))
     }
     own = {
-        link: _attempt(
+        link: _measure(
             net, samples, link[1], link[0] in flagged, counter, totals, flagged, hops
         )
-        for link, counter in (counters or {}).items()
+        for link, counter in sorted((counters or {}).items())
         if link in links
     }
-    parts = (plain, blocked, own)
-    table = LinkTable(links, flagged, *parts)
-    if any(isinstance(m, ValueError) for part in parts for m in part.values()):
-        for m in table.values():
-            if isinstance(m, ValueError):
-                raise m
-        # no link reads the invalid entries
-        for part in parts:
-            for key in [k for k, m in part.items() if isinstance(m, ValueError)]:
-                del part[key]
-    return table
+    return LinkTable(links, flagged, plain, blocked, own)
 
 
 def quality_from_metrics(table: LinkTable[LinkMetrics]) -> LinkTable[float]:

@@ -5,7 +5,7 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Seven fixes are applied on top of the original code, and nothing else:
+Eight fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
 unknown key whenever another `[network]` key was invalid); an infinite
@@ -18,8 +18,11 @@ than two parts, such as `1..2..9`, is rejected (it used to be read as
 infinite or huge rate never finished a step); an infinite `[metrics]`
 `snr_total`, `total_hops` or `energy_capacity` is rejected (`< inf`; every
 run then failed late on a NaN quality factor that named no key); and an
-infinite `[search]` `q` or `phi0` is rejected (`< inf`; every run then failed
-late on transition probabilities that summed to NaN and named no key).
+infinite `[search]` `q`, `phi0`, `alpha` or `beta` is rejected (`< inf`; a
+run could then fail late on transition probabilities that summed to NaN and
+named no key); and an infinite `[radio] tx_power` or `[jammer] power` is
+rejected (`< inf`; the noise it made could be NaN, which hid a jam or failed
+the run late on a NaN quality factor that named no key).
 """
 
 from __future__ import annotations
@@ -269,7 +272,9 @@ def _parse_jammer(sec: _Section) -> JammerSpec | None:
     )
     x = sec.get_float("x", required=True)
     y = sec.get_float("y", required=True)
-    power = sec.get_float("power", required=True, lo=0, lo_open=True)
+    power = sec.get_float(
+        "power", required=True, lo=0, lo_open=True, hi=math.inf, hi_open=True
+    )
     start = sec.get_int("start", default=0, lo=0)
     sleep = (1, 1)
     jam = (1, 1)
@@ -317,7 +322,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if "radio" in sections:
         sec = sections["radio"]
         floor = sec.get_float("floor", default=radio.floor, lo=0, lo_open=True)
-        tx_power = sec.get_float("tx_power", default=radio.tx_power, lo=0, lo_open=True)
+        tx_power = sec.get_float("tx_power", default=radio.tx_power, lo=0, lo_open=True,
+                                 hi=math.inf, hi_open=True)
         d0 = sec.get_float("d0", default=radio.d0, lo=0, lo_open=True)
         gamma = sec.get_float("gamma", default=radio.gamma, lo=0)
         debounce = sec.get_int("debounce", default=radio.debounce, lo=1)
@@ -343,8 +349,9 @@ def parse_config(text: str) -> ScenarioConfig:
         sec = sections["search"]
         q = sec.get_float("q", default=search.q, lo=0, hi=math.inf, hi_open=True)
         rho = sec.get_float("rho", default=search.rho, lo=0.0, hi=1.0)
-        alpha = sec.get_float("alpha", default=search.alpha, lo=0)
-        beta = sec.get_float("beta", default=search.beta, lo=0)
+        alpha = sec.get_float("alpha", default=search.alpha, lo=0,
+                              hi=math.inf, hi_open=True)
+        beta = sec.get_float("beta", default=search.beta, lo=0, hi=math.inf, hi_open=True)
         n_explorers = sec.get_int("n_explorers", default=search.n_explorers, lo=0)
         n_exploiters = sec.get_int("n_exploiters", default=search.n_exploiters, lo=0)
         iterations = sec.get_int("iterations", default=search.iterations, lo=1)

@@ -271,6 +271,32 @@ class TestExitCodes:
         assert "[search] alpha = 100000.0, beta = 1.0" in err
 
     @pytest.mark.parametrize(
+        "extra, keys",
+        [
+            # NaN noise hid the jam: exit 0 and jammed_peak 0
+            ("[radio]\ntx_power = inf\n[jammer]\npower = inf\n",
+             ["radio.tx_power", "jammer.power"]),
+            # inf * a gain of 0 gave a NaN quality factor that named no key
+            ("[radio]\ngamma = 2000\n[jammer]\npower = inf\n", ["jammer.power"]),
+            # transition probabilities summed to NaN
+            ("[search]\nalpha = inf\n[jammer]\npower = 1\n", ["search.alpha"]),
+        ],
+        ids=["tx-power-and-jammer-power", "jammer-power-steep-gamma", "alpha"],
+    )
+    def test_infinite_value_names_the_key(self, tmp_path, capsys, extra, keys):
+        # a 3x3 grid with a constant jammer on its middle node
+        path = tmp_path / "inf.cfg"
+        path.write_text(
+            "[network]\nlayout = grid\nrows = 3\ncols = 3\nrange = 12\n"
+            "[traffic]\nduration = 5\n" + extra + "kind = constant\nx = 10\ny = 10\n"
+        )
+        code = main(["run", "--config", str(path), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key}: must be < inf, got inf" for key in keys
+        ]
+
+    @pytest.mark.parametrize(
         "area, reason",
         [
             # 10 nodes in an area that holds 4 distinct points

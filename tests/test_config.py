@@ -293,9 +293,10 @@ class TestErrors:
         cfg = parse_config(MINIMAL + f"\n[metrics]\n{key} = 1e308\n")
         assert getattr(cfg, key) == 1e308
 
-    @pytest.mark.parametrize("key", ["q", "phi0"])
+    @pytest.mark.parametrize("key", ["q", "phi0", "alpha", "beta"])
     def test_infinite_search_value_names_the_key(self, key):
-        # an infinite q or phi0 used to fail every run late, on a NaN sum
+        # an infinite q, phi0, alpha or beta used to fail a run late, on a
+        # NaN sum
         text = MINIMAL + f"\n[search]\n{key} = inf\n"
         expected = [(f"search.{key}", "must be < inf, got inf")]
         assert errors_of(text) == expected

@@ -44,7 +44,7 @@ LAYOUT_KEYS = {
 SECTIONS = {
     "radio": {
         "floor": (["1e-9", "1e-8"], ["0"]),
-        "tx_power": (["0.1", "0.2"], ["0", "-0.1"]),
+        "tx_power": (["0.1", "0.2", "1e308"], ["0", "-0.1", "inf"]),
         "d0": (["1", "2"], ["0"]),
         "gamma": (["0", "2", "2.5"], ["-1"]),
         "debounce": (["1", "3"], ["0"]),
@@ -57,8 +57,8 @@ SECTIONS = {
     "search": {
         "q": (["0", "1", "2.5", "1e308"], ["-1", "inf"]),
         "rho": (["0", "0.3", "1", "1.0"], ["1.0000001", "-0.1"]),
-        "alpha": (["0", "1", "2"], ["-1"]),
-        "beta": (["0", "1", "2"], ["-0.5"]),
+        "alpha": (["0", "1", "2", "1e308"], ["-1", "inf"]),
+        "beta": (["0", "1", "2", "1e308"], ["-0.5", "inf"]),
         "n_explorers": (["0", "4", "10"], ["-1"]),
         "n_exploiters": (["0", "5"], ["-1"]),
         "iterations": (["1", "40"], ["0"]),
@@ -86,7 +86,7 @@ JAMMER = {
     "kind": (["constant", "deceptive", "random", "reactive"], ["sweep"]),
     "x": (["0", "10", "-5.5", "1e308"], ["inf"]),
     "y": (["0", "20", "3"], []),
-    "power": (["0.1", "0.004"], ["0", "-1"]),
+    "power": (["0.1", "0.004", "1e308"], ["0", "-1", "inf"]),
     "start": (["0", "5"], ["-1"]),
 }
 JAMMER_KIND_KEYS = {

@@ -40,10 +40,12 @@ class TestSnr:
         assert not is_jammed(1.5)
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            RadioSample(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            RadioSample(1.0, 0.0)
+        for signal, noise in ((-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0),
+                              (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                RadioSample(signal, noise)
+        # finite jammer powers can overflow the noise: that is SNR 0, a jam
+        assert is_jammed(signal_to_noise_ratio(RadioSample(1.0, math.inf)))
 
 
 class TestPathGain:
@@ -123,6 +125,8 @@ class TestEmission:
     def test_validation_rejects_nan(self):
         with pytest.raises(ValueError, match="power must be positive"):
             make_jammer(JammerKind.CONSTANT, power=math.nan)
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            make_jammer(JammerKind.CONSTANT, power=math.inf)
         with pytest.raises(ValueError, match="sense_range must be positive"):
             make_jammer(JammerKind.REACTIVE, sense_range=math.nan)
         with pytest.raises(ValueError, match="position must not be NaN"):
@@ -133,6 +137,8 @@ class TestEmission:
         for name in ("floor", "tx_power", "d0", "gamma"):
             with pytest.raises(ValueError):
                 RadioParams(**{name: math.nan})
+        with pytest.raises(ValueError, match="tx_power must be positive and finite"):
+            RadioParams(tx_power=math.inf)
 
 
 class TestNoise:

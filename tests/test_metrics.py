@@ -138,6 +138,29 @@ def clean_samples(net, radio=None):
     return sample_radio(net, [], 0, radio or RadioParams(), Random(0))
 
 
+class TestMetricTotals:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["hops", "energy", "snr"])
+    def test_totals_must_be_positive_and_finite(self, field, bad):
+        # an infinite budget made its factor NaN, which raised at some link
+        totals = {"hops": 4.0, "energy": 100.0, "snr": 10.0, field: bad}
+        with pytest.raises(ValueError, match="positive and finite"):
+            MetricTotals(**totals)
+
+    def test_for_network_fills_unset_budgets(self):
+        net = line4()
+        assert MetricTotals.for_network(net) == MetricTotals(4.0, 100.0, 10.0)
+        assert MetricTotals.for_network(net, 5.0, 7.0, 50.0) == MetricTotals(7.0, 50.0, 5.0)
+        assert MetricTotals.for_network(net, 1e308, 1e308, 1e308).energy == 1e308
+
+    def test_infinite_node_energy_needs_a_budget(self):
+        net = build_network([((0.0, 0.0), math.inf, 1.5), ((1.0, 0.0), 1.0, 1.5)], 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            MetricTotals.for_network(net)
+        totals = MetricTotals.for_network(net, energy=10.0)
+        assert measure_link(net, clean_samples(net), 1, 0, totals=totals).energy == 1.0
+
+
 class TestMeasureLink:
     def test_clean_state_factor_values(self):
         net = line4()

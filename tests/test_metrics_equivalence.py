@@ -7,9 +7,11 @@ result: on generated networks, while relays die and flags, samples and
 counters change between builds, the metrics table and the quality table must
 equal the per-link original in order and bit for bit, have its length, miss
 the same keys, keep answering as built after later deaths, and an invalid
-counter must raise the same error.
+counter must raise the same error. Extreme signal and noise powers and
+infinite node energies under finite totals must never raise.
 """
 
+import math
 from datetime import timedelta
 from random import Random
 
@@ -30,6 +32,8 @@ from antjam.network import build_network
 # attempts, delivered, lost: empty, partial and full delivery, plus a
 # counter whose delivered and lost do not add up to its attempts
 COUNTERS = [(0, 0, 0), (3, 1, 2), (4, 4, 0), (2, 0, 2), (5, 2, 1)]
+# delivered > attempts and lost > attempts: each raises its own text
+BAD_COUNTERS = [LinkCounters(2, 3, 0), LinkCounters(2, 0, 5)]
 
 
 def counters_of(rng, links, bad):
@@ -39,9 +43,11 @@ def counters_of(rng, links, bad):
         if rng.random() < 0.3
     }
     counters[(98, 99)] = LinkCounters(1, 1, 0)  # a key that is no link
-    if bad and links:
-        counters[rng.choice(links)] = LinkCounters(2, 3, 0)  # delivered > attempts
-    return counters
+    if bad:
+        counters.update(zip(rng.sample(links, min(2, len(links))), BAD_COUNTERS))
+    items = list(counters.items())
+    rng.shuffle(items)  # the first bad link in (i, j) order must raise
+    return dict(items)
 
 
 @st.composite
@@ -53,7 +59,9 @@ def metric_cases(draw):
     radii = [rng.choice([0.5, 1.0, 1.5]) for _ in range(count)]
     for i in rng.sample(range(count), draw(st.integers(0, 2))):
         radii[i] = 0.25  # no other lattice point is this close: isolated
-    specs = [(pos, rng.choice([1.0, 2.0, 5.0]), r) for pos, r in zip(positions, radii)]
+    infinite = draw(st.booleans())  # some nodes may hold infinite energy
+    energies = [1.0, 2.0, 5.0] + [math.inf] * infinite
+    specs = [(pos, rng.choice(energies), r) for pos, r in zip(positions, radii)]
     pe = rng.randrange(count)
     builds = []
     for _ in range(draw(st.integers(1, 4))):
@@ -67,14 +75,19 @@ def metric_cases(draw):
         if draw(st.booleans()):
             flagged |= {pe}
         samples = {
-            i: RadioSample(rng.choice([0.0, 0.5, 3.0, 20.0]), rng.choice([0.5, 1.0]))
+            i: RadioSample(
+                rng.choice([0.0, 0.5, 3.0, 20.0, 1e308]),
+                rng.choice([0.5, 1.0, 5e-324, math.inf]),
+            )
             for i in range(count)
             if rng.random() < 0.8
         }
+        # the default budget of infinite energy is not finite: it is refused
         totals = draw(
             st.sampled_from(
-                [None, MetricTotals(1.0, 1.0), MetricTotals(3.0, 2.0, 4.0),
-                 MetricTotals(20.0, 10.0, 25.0)]
+                [None] * (not infinite)
+                + [MetricTotals(1.0, 1.0), MetricTotals(3.0, 2.0, 4.0),
+                   MetricTotals(20.0, 10.0, 25.0), MetricTotals(1e308, 1e308, 1e308)]
             )
         )
         bad = draw(st.sampled_from([None, None, None, "counter"]))
@@ -102,6 +115,10 @@ def test_matches_reference_metrics(case):
         try:
             want = ref.build_link_metrics(*args)
         except ValueError as exc:
+            # only a bad counter can fail, or the default energy budget of a
+            # network drained to 0, which is not positive
+            drained = not any(node.energy for node in net.nodes.values())
+            assert bad == "counter" or (totals is None and drained)
             with pytest.raises(ValueError) as got:
                 build_link_metrics(*args)
             assert str(got.value) == str(exc)
