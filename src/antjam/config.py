@@ -30,7 +30,7 @@ from .network import (
 
 # Ceilings on the sizes a document may ask for, checked while parsing so that
 # no oversized scenario is ever built.
-MAX_NODES = 100_000  # random `count`, grid `rows * cols`
+MAX_NODES = 100_000  # random `count`, grid `rows * cols`, explicit `nodes`
 MAX_DURATION = 1_000_000  # traffic `duration`, in steps
 MAX_RATE = 1_000  # traffic `rate`, in packets per source per step
 MAX_ANT_TOURS = 1_000_000  # (n_explorers + n_exploiters) * iterations
@@ -168,6 +168,8 @@ def _nodes(text: str) -> tuple[tuple[float, float, float, float], ...]:
     entries = [e.strip() for e in text.replace("\n", " ").split(";") if e.strip()]
     if len(entries) < 2:
         raise ValueError("need at least two nodes")
+    if len(entries) > MAX_NODES:
+        raise ValueError(f"at most {MAX_NODES} nodes, got {len(entries)}")
     quads = []
     for idx, entry in enumerate(entries):
         parts = [p.strip() for p in entry.split(",")]

@@ -124,14 +124,14 @@ class MetricTotals:
         cls, net: Network, snr: float = 10.0,
         hops: float | None = None, energy: float | None = None,
     ) -> "MetricTotals":
-        """The given budgets; an unset hop budget is the node count and an
-        unset energy budget the largest node energy."""
+        """The given budgets; unset, the hop budget is the node count and the
+        energy budget the largest node energy, or 1.0 if every energy is 0."""
         # A simple path uses at most n-1 hops, so a budget of n keeps every
         # reachable hop count strictly above zero after normalizing.
         if hops is None:
             hops = float(len(net.nodes))
         if energy is None:
-            energy = max(n.energy for n in net.nodes.values())
+            energy = max(n.energy for n in net.nodes.values()) or 1.0
         return cls(hops, energy, snr)
 
 

@@ -13,13 +13,6 @@ Position = tuple[float, float]
 # (position, initial energy, radio range)
 NodeSpec = tuple[Position, float, float]
 
-# The link build bins nodes on a grid with cells a hair wider than the largest
-# radio range, so that rounding in the cell index cannot put an in-range pair
-# two cells apart. Past _MAX_CELL_INDEX cells from the origin that rounding
-# could reach a whole cell, and the build compares every pair instead.
-_CELL_PAD = 1.0 + 2.0**-20
-_MAX_CELL_INDEX = 2.0**30
-
 # Ceiling on directed links per network, checked as the build adds them: a
 # mean degree of 20 at the 100,000-node ceiling. The node ceiling alone does
 # not bound links, since a range covering the field links every pair.
@@ -89,27 +82,26 @@ class Network:
     def _build_links(self) -> None:
         """Link every mutually in-range pair, in ascending (a, b) order.
 
-        A link is never longer than the largest range, which is the side of
-        the grid cells, so each node is compared only with the higher ids in
-        its own cell and the 8 around it. Coincident nodes share a cell, so
-        the first pair found at distance 0 is the smallest such pair overall.
+        A node is compared with the higher ids in its own cell and the 8
+        around it (see _cells), and one of infinite range also with every
+        higher id of infinite range, which it always links to, so MAX_LINKS
+        bounds that work. Coincident nodes share a cell, so the first pair
+        found at distance 0 is the smallest such pair overall.
         """
         ids = sorted(self.nodes)
-        cell_of = _cell_index(self.nodes, ids)
-        members: dict[tuple[int, int], list[int]] = {}
+        unbounded = [i for i in ids if self.nodes[i].radio_range == math.inf]
+        cell_of, stride = _cells(self.nodes)
+        around = [dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        members: dict[int, list[int]] = {}
         for i in ids:
             members.setdefault(cell_of[i], []).append(i)
         for a in ids:
             na = self.nodes[a]
-            cx, cy = cell_of[a]
-            nearby = sorted(
-                b
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                for b in members.get((cx + dx, cy + dy), ())
-                if b > a
-            )
-            for b in nearby:
+            cell = cell_of[a]
+            nearby = [b for d in around for b in members.get(cell + d, ()) if b > a]
+            if na.radio_range == math.inf:
+                nearby = set(nearby).union(b for b in unbounded if b > a)
+            for b in sorted(nearby):
                 nb = self.nodes[b]
                 d = euclidean_distance(na.position, nb.position)
                 if d == 0.0:
@@ -189,22 +181,30 @@ class Network:
         self._adjacency[i].clear()
 
 
-def _cell_index(
-    nodes: Mapping[int, Node], ids: Sequence[int]
-) -> dict[int, tuple[int, int]]:
-    """Grid cell of each node, on cells as wide as the largest radio range.
+def _cells(nodes: Mapping[int, Node]) -> tuple[dict[int, int], int]:
+    """Cell of each node, numbered x band * stride + y band, and the stride.
 
-    Every node shares one cell when the grid cannot be exact: an infinite
-    largest range, or coordinates too far out in cell units.
+    Along each axis, in coordinate order, a band opens at the first
+    coordinate more than `size` (the largest finite range) past the start of
+    the current band. Float subtraction is monotone, so nodes two or more
+    bands apart differ by more than `size` as computed, like the band start
+    between them, so only two infinite ranges link them, at any coordinates.
     """
-    size = max(nodes[i].radio_range for i in ids) * _CELL_PAD
-    if size < math.inf:
-        scaled = [
-            (nodes[i].position[0] / size, nodes[i].position[1] / size) for i in ids
-        ]
-        if all(abs(x) < _MAX_CELL_INDEX and abs(y) < _MAX_CELL_INDEX for x, y in scaled):
-            return {i: (math.floor(x), math.floor(y)) for i, (x, y) in zip(ids, scaled)}
-    return dict.fromkeys(ids, (0, 0))
+    finite = [n.radio_range for n in nodes.values() if n.radio_range < math.inf]
+    size = max(finite, default=0.0)
+    bands: list[dict[int, int]] = []
+    for axis in (0, 1):
+        coord = {i: n.position[axis] for i, n in nodes.items()}
+        band: dict[int, int] = {}
+        k, start = -1, -math.inf
+        for i in sorted(coord, key=coord.__getitem__):
+            if coord[i] - start > size:
+                k, start = k + 1, coord[i]
+            band[i] = k
+        bands.append(band)
+    x_band, y_band = bands
+    stride = k + 2  # y bands 0..k and one free slot, so y ± 1 never wraps
+    return {i: x_band[i] * stride + y_band[i] for i in nodes}, stride
 
 
 def build_network(node_specs: Sequence[NodeSpec], pe_index: int) -> Network:
@@ -213,10 +213,6 @@ def build_network(node_specs: Sequence[NodeSpec], pe_index: int) -> Network:
     pe_index selects the processing element by position in the list; node ids
     are assigned 0..n-1 in list order.
     """
-    if len(node_specs) < 2:
-        raise ValueError("need at least two node specs")
-    if not 0 <= pe_index < len(node_specs):
-        raise ValueError(f"pe_index {pe_index} out of range")
     nodes = [
         Node(i, (float(pos[0]), float(pos[1])), float(energy), float(radio_range))
         for i, (pos, energy, radio_range) in enumerate(node_specs)

@@ -5,7 +5,7 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Eight fixes are applied on top of the original code, and nothing else:
+Nine fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
 unknown key whenever another `[network]` key was invalid); an infinite
@@ -22,7 +22,9 @@ infinite `[search]` `q`, `phi0`, `alpha` or `beta` is rejected (`< inf`; a
 run could then fail late on transition probabilities that summed to NaN and
 named no key); and an infinite `[radio] tx_power` or `[jammer] power` is
 rejected (`< inf`; the noise it made could be NaN, which hid a jam or failed
-the run late on a NaN quality factor that named no key).
+the run late on a NaN quality factor that named no key); and an explicit
+`nodes` list of more than `MAX_NODES` entries is rejected before its numbers
+are read (the node ceiling bounded only random and grid layouts).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import replace
 
 from antjam.ants import SearchParams
 from antjam.config import (
+    MAX_NODES,
     ConfigError,
     ExplicitNetworkSpec,
     GridNetworkSpec,
@@ -197,6 +200,9 @@ def _parse_explicit_network(sec: _Section) -> ExplicitNetworkSpec | None:
     entries = [e.strip() for e in text.replace("\n", " ").split(";") if e.strip()]
     if len(entries) < 2:
         sec.error("nodes", "need at least two nodes")
+        return None
+    if len(entries) > MAX_NODES:
+        sec.error("nodes", f"at most {MAX_NODES} nodes, got {len(entries)}")
         return None
     for idx, entry in enumerate(entries):
         parts = [p.strip() for p in entry.split(",")]

@@ -464,6 +464,17 @@ class TestCeilings:
         errors = errors_of(grid.format(MAX_NODES + 1, 1))
         assert [key for key, _ in errors] == ["network.rows"]
 
+    def test_explicit_node_count(self):
+        # the ceiling is checked before any entry's numbers are read
+        explicit = "[network]\nlayout = explicit\nnodes = {}\n"
+        entries = [f"{i},0,1,2" for i in range(MAX_NODES)]
+        network = parse_config(explicit.format("; ".join(entries))).network
+        assert network.node_count == MAX_NODES
+        entries += ["a,b,c,d"]
+        assert errors_of(explicit.format("; ".join(entries))) == [
+            ("network.nodes", f"at most {MAX_NODES} nodes, got {MAX_NODES + 1}")
+        ]
+
     def test_duration(self):
         traffic = MINIMAL + "\n[traffic]\nduration = {}\n"
         assert parse_config(traffic.format(MAX_DURATION)).duration == MAX_DURATION

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_config as ref
-from antjam.config import ConfigError, format_config, parse_config
+from antjam.config import MAX_NODES, ConfigError, format_config, parse_config
 
 # text that no key accepts, or only some do
 JUNK = ["nan", "NaN", "abc", "a..b", "", "1e", "--1", "2.5", "1,x", "0..0"]
@@ -226,3 +226,8 @@ def single_value_cases():
 @pytest.mark.parametrize("text", single_value_cases())
 def test_each_value_matches_reference_config(text):
     assert_readers_agree(text)
+
+
+def test_explicit_node_ceiling_matches_reference_config():
+    entries = "; ".join(f"{i},0,1,2" for i in range(MAX_NODES + 1))
+    assert_readers_agree(f"[network]\nlayout = explicit\nnodes = {entries}\n")

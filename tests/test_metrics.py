@@ -153,6 +153,22 @@ class TestMetricTotals:
         assert MetricTotals.for_network(net, 5.0, 7.0, 50.0) == MetricTotals(7.0, 50.0, 5.0)
         assert MetricTotals.for_network(net, 1e308, 1e308, 1e308).energy == 1e308
 
+    def test_networks_without_energy_take_a_unit_budget(self):
+        # a largest energy of 0 is no budget: every energy factor is 0
+        drained = build_network([((0.0, 0.0), 1.0, 1.5), ((1.0, 0.0), 1.0, 1.5)], 1)
+        for i in (0, 1):
+            drained.drain_energy(i, 1.0)
+        assert MetricTotals.for_network(drained) == MetricTotals(2.0, 1.0, 10.0)
+        assert len(build_link_metrics(drained, clean_samples(drained))) == 0
+        built_empty = build_network([((0.0, 0.0), 0.0, 1.5), ((1.0, 0.0), 0.0, 1.5)], 1)
+        emptied = line4()
+        for node in emptied.nodes.values():
+            node.energy = 0.0
+        for net in (built_empty, emptied):
+            quality = quality_from_metrics(build_link_metrics(net, clean_samples(net)))
+            assert len(quality) == len(net.links) > 0
+            assert set(quality.values()) == {0.0}
+
     def test_infinite_node_energy_needs_a_budget(self):
         net = build_network([((0.0, 0.0), math.inf, 1.5), ((1.0, 0.0), 1.0, 1.5)], 1)
         with pytest.raises(ValueError, match="positive and finite"):

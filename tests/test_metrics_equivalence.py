@@ -115,10 +115,7 @@ def test_matches_reference_metrics(case):
         try:
             want = ref.build_link_metrics(*args)
         except ValueError as exc:
-            # only a bad counter can fail, or the default energy budget of a
-            # network drained to 0, which is not positive
-            drained = not any(node.energy for node in net.nodes.values())
-            assert bad == "counter" or (totals is None and drained)
+            assert bad == "counter"  # nothing else can fail
             with pytest.raises(ValueError) as got:
                 build_link_metrics(*args)
             assert str(got.value) == str(exc)

@@ -63,13 +63,29 @@ class TestBuildNetwork:
             )
 
     def test_single_node_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two nodes"):
             build_network([((0.0, 0.0), 10.0, 1.0)], 0)
 
     def test_bad_pe_index_rejected(self):
         specs = [((0.0, 0.0), 10.0, 1.0), ((1.0, 0.0), 10.0, 1.0)]
-        with pytest.raises(ValueError):
-            build_network(specs, 5)
+        for pe_index in (5, 2, -1):
+            with pytest.raises(ValueError, match="unknown processing element"):
+                build_network(specs, pe_index)
+
+    def test_far_apart_grid_compares_only_neighbours(self, monkeypatch):
+        # a spacing 1e11 times the range once made the build compare every
+        # pair: 2,049,300 distances for these 2,025 nodes
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return euclidean_distance(a, b)
+
+        monkeypatch.setattr(network, "euclidean_distance", counted)
+        net = grid_network(45, 45, 1e12, 12.0, 1.0)
+        assert net.links == set()
+        assert 0 < calls <= 9 * len(net.nodes)
 
     def test_single_processing_element(self, unit_square):
         assert unit_square.pe_id == 2

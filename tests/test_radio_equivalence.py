@@ -1,6 +1,8 @@
-"""The cell-grid link build and cached radio layer against reference_radio.py.
+"""The banded link build and cached radio layer against reference_radio.py.
 
-The package builds links on a uniform cell grid, caches each node's
+The package compares each node only with the nodes in its own and the 8
+neighbouring cells of bands no wider than the largest finite range (and
+nodes of infinite range with each other), caches each node's
 nearest-live-neighbor distance and each jammer's path-gain row on the
 network, and memoises the last radio samples and deceptive victims there.
 None of that may change a result: on generated explicit networks the links,
@@ -213,10 +215,22 @@ def random_field(count, half_width, seed):
         random_field(400, 60.0, 4),
         # a lattice whose spacing equals the range: every link sits on a cell edge
         [((c * 3.0, r * 3.0), 1.0, 3.0) for r in range(-5, 6) for c in range(-5, 6)],
-        # too far out for an exact cell index: one shared cell
+        # ranges a 1e-13 fraction of the coordinates
         [((1e10 + k * 1e-3, 0.0), 1.0, 0.0015) for k in range(5)],
+        # a grid at spacing 1e12 whose links are exactly its range long
+        [((c * 1e12, r * 1e12), 1.0, 1e12) for r in range(8) for c in range(8)],
+        # a diagonal chain near 1e300: each node reaches only the next
+        [((1e300 + k * 3e286, 1e300 - k * 2e286), 1.0, 4e286) for k in range(6)],
+        # infinite ranges link every such pair, even where the distance
+        # overflows to inf, and a finite range only within its reach
+        [((x * 4.0, y * 3.0), 1.0, math.inf if (x + y) % 3 == 0 else 5.0)
+         for x in range(-4, 5) for y in range(-4, 5)]
+        + [((1e300, -1e300), 1.0, math.inf), ((-1e300, 1e300), 1.0, math.inf)],
+        # one shared x, so a single band along it
+        [((7.0, k * 2.0), 1.0, 2.5) for k in range(-10, 10)],
     ],
-    ids=["random-field", "lattice-on-edges", "far-out"],
+    ids=["random-field", "lattice-on-edges", "far-out", "grid-1e12", "near-1e300",
+         "mixed-infinite", "shared-x"],
 )
 def test_cell_grid_links_match_pairwise(specs):
     positions = [pos for pos, _, _ in specs]
