@@ -153,15 +153,14 @@ class Simulation:
         self.radio = config.radio
         self.totals = resolve_totals(config, self.net)
         self.sources = resolve_sources(config, self.net)
-        for src in self.sources:
-            self.net.node(src)  # id sanity for explicit Simulation callers
         self.jam_rng = Random(f"{seed}/jammers")
         self.state = ScenarioState()
         self.state.routes = {src: None for src in self.sources}
         self.state.emit_acc = {src: 0.0 for src in self.sources}
         self._initial_energy = {i: n.energy for i, n in self.net.nodes.items()}
-        self._search_count = 0
-        self._install_initial_routes()
+        # clean network: jammers have not emitted yet
+        self.state.last_samples = sample_radio(self.net, [], 0, self.radio, Random(0))
+        self._route(sorted(self.state.routes))
 
     # ----- internals -------------------------------------------------
 
@@ -170,45 +169,47 @@ class Simulation:
             self.state.newly_dead.add(node_id)
             self.state.unreported_dead.add(node_id)
 
-    def _quality_table(self, samples, flags: set[int]):
-        table = build_link_metrics(
-            self.net,
-            samples,
-            counters=self.state.counters,
-            totals=self.totals,
-            flagged=frozenset(flags),
-        )
-        return quality_from_metrics(table)
+    def _route(self, sources: list[int]) -> list[Event]:
+        """Search each source's route to the PE, in order, over one quality table.
 
-    def _search(self, source: int, quality):
-        rng = Random(f"{self.seed}/search/{self._search_count}")
-        self._search_count += 1
-        result = run_search(
-            self.net, source, self.net.pe_id, self.config.search, rng, quality
-        )
-        for node_id, hops in sorted(result.transmit_counts.items()):
-            self._drain(node_id, hops * self.config.ant_energy_cost)
-        self.state.searches.append(
-            SearchSummary(
-                step=self.state.time - 1 if self.state.time else -1,
-                source=source,
-                found=result.found,
-                best_score=result.best.score if result.best else 0.0,
-                successes=sum(s.successes for s in result.stats),
-            )
-        )
-        return result
-
-    def _install_initial_routes(self) -> None:
-        # clean network: jammers have not emitted yet
-        samples = sample_radio(self.net, [], 0, self.radio, Random(0))
-        quality = self._quality_table(samples, set())
-        self.state.last_samples = samples
-        for src in sorted(self.state.routes):
-            # an earlier source's ants may have drained this one to death
-            if self.net.node(src).alive:
-                result = self._search(src, quality)
-                self.state.routes[src] = result.best.path if result.best else None
+        A source dead when its turn comes (an earlier search's ants may have
+        drained it) gets no search, nor does any source while the PE is dead
+        (a deceptive jammer's fake traffic can drain it).
+        """
+        st = self.state
+        net = self.net
+        step = st.time - 1  # -1 for the initial installation
+        quality = quality_from_metrics(build_link_metrics(
+            net, st.last_samples, counters=st.counters, totals=self.totals,
+            flagged=frozenset(st.flags),
+        ))
+        events: list[Event] = []
+        for src in sources:
+            old = st.routes[src]
+            st.routes[src] = None
+            if not net.node(src).alive:
+                continue
+            best = None
+            if net.node(net.pe_id).alive:
+                rng = Random(f"{self.seed}/search/{len(st.searches)}")
+                result = run_search(net, src, net.pe_id, self.config.search, rng, quality)
+                for node_id, hops in sorted(result.transmit_counts.items()):
+                    self._drain(node_id, hops * self.config.ant_energy_cost)
+                best = result.best
+                st.searches.append(SearchSummary(
+                    step=step, source=src, found=result.found,
+                    best_score=best.score if best else 0.0,
+                    successes=sum(s.successes for s in result.stats),
+                ))
+            if best is not None:
+                if best.path != old:
+                    events.append(Event(step, "reroute", source=src,
+                                        detail=f"{len(best.path) - 1} hops"))
+                st.routes[src] = best.path
+            elif old is not None:
+                events.append(Event(step, "suspend", source=src,
+                                    detail="no live path to the processing element"))
+        return events
 
     # ----- per-step phases -------------------------------------------
 
@@ -337,33 +338,8 @@ class Simulation:
         if not needs:
             return []
 
-        events: list[Event] = []
-        quality = self._quality_table(st.last_samples, st.flags)
-        for src in needs:
-            old = st.routes[src]
-            if not self.net.node(src).alive:
-                st.routes[src] = None
-                continue
-            # a deceptive jammer's fake traffic can drain the PE itself
-            best = None
-            if self.net.node(self.net.pe_id).alive:
-                best = self._search(src, quality).best
-            if best is None:
-                st.routes[src] = None
-                if old is not None:
-                    events.append(
-                        Event(st.time - 1, "suspend", source=src,
-                              detail="no live path to the processing element")
-                    )
-            else:
-                new_route = best.path
-                if new_route != old:
-                    st.reroutes += 1
-                    events.append(
-                        Event(st.time - 1, "reroute", source=src,
-                              detail=f"{len(new_route) - 1} hops")
-                    )
-                st.routes[src] = new_route
+        events = self._route(needs)
+        st.reroutes += sum(e.kind == "reroute" for e in events)
         return events
 
     # ----- whole-run driver ------------------------------------------

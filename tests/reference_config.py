@@ -5,7 +5,7 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Nine fixes are applied on top of the original code, and nothing else:
+Ten fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
 unknown key whenever another `[network]` key was invalid); an infinite
@@ -24,7 +24,11 @@ named no key); and an infinite `[radio] tx_power` or `[jammer] power` is
 rejected (`< inf`; the noise it made could be NaN, which hid a jam or failed
 the run late on a NaN quality factor that named no key); and an explicit
 `nodes` list of more than `MAX_NODES` entries is rejected before its numbers
-are read (the node ceiling bounded only random and grid layouts).
+are read (the node ceiling bounded only random and grid layouts); and the
+parse ceilings are mirrored: a random `count` or a grid's `rows * cols` above
+`MAX_NODES`, a `[traffic] duration` above `MAX_DURATION`, and `[search]`
+`(n_explorers + n_exploiters) * iterations` above `MAX_ANT_TOURS` are
+rejected (this reader accepted all four, which the package rejects).
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from dataclasses import replace
 
 from antjam.ants import SearchParams
 from antjam.config import (
+    MAX_ANT_TOURS,
+    MAX_DURATION,
     MAX_NODES,
     ConfigError,
     ExplicitNetworkSpec,
@@ -245,6 +251,9 @@ def _parse_grid_network(sec: _Section) -> GridNetworkSpec | None:
     if rows * cols < 2:
         sec.error("rows", "grid needs at least two nodes")
         return None
+    if rows * cols > MAX_NODES:
+        sec.error("rows", f"rows * cols must be <= {MAX_NODES}, got {rows * cols}")
+        return None
     if not math.isfinite(spacing * (max(rows, cols) - 1)):
         sec.error("spacing", f"grid coordinates must be finite, got {spacing!r}")
         return None
@@ -252,7 +261,7 @@ def _parse_grid_network(sec: _Section) -> GridNetworkSpec | None:
 
 
 def _parse_random_network(sec: _Section) -> RandomNetworkSpec | None:
-    count = sec.get_int("count", required=True, lo=2)
+    count = sec.get_int("count", required=True, lo=2, hi=MAX_NODES)
     radio_range = sec.get_float("range", required=True, lo=0, lo_open=True)
     width = sec.get_float("width", default=100.0, lo=0, lo_open=True,
                           hi=math.inf, hi_open=True)
@@ -369,6 +378,10 @@ def parse_config(text: str) -> ScenarioConfig:
         )
         if (n_explorers or 0) + (n_exploiters or 0) < 1:
             sec.error("n_explorers", "need at least one ant across both colonies")
+        elif (n_explorers + n_exploiters) * iterations > MAX_ANT_TOURS:
+            sec.error("iterations", "(n_explorers + n_exploiters) * iterations "
+                      f"must be <= {MAX_ANT_TOURS}, got "
+                      f"{(n_explorers + n_exploiters) * iterations}")
         sec.finish()
         if not errors:
             search = SearchParams(
@@ -381,7 +394,7 @@ def parse_config(text: str) -> ScenarioConfig:
         sec = sections["traffic"]
         sources = sec.get_int_list("sources")
         rate = sec.get_float("rate", default=1.0, lo=0, hi=1000)
-        duration = sec.get_int("duration", default=100, lo=0)
+        duration = sec.get_int("duration", default=100, lo=0, hi=MAX_DURATION)
         sec.finish()
         if sources is not None and network is not None:
             count = network.node_count

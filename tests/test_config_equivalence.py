@@ -28,7 +28,7 @@ NETWORK = {
     "spacing": (["1", "2.5", "10"], ["0", "inf", "1e308"]),
     "range": (["5", "12", "30.5", "inf"], ["0", "-1"]),
     "energy": (["1", "100", "1e6"], ["0", "inf", "1e308"]),
-    "count": (["2", "5", "12"], ["1", "0"]),
+    "count": (["2", "5", "12", "100000"], ["1", "0", "100001"]),
     "width": (["50", "100", "1e308"], ["0", "inf"]),
     "height": (["60", "100"], ["0", "inf"]),
     "placement_seed": (["0", "7"], ["-1"]),
@@ -68,7 +68,7 @@ SECTIONS = {
     "traffic": {
         "sources": (["2", "3", "2, 3", "3,2,3"], ["-1", "0", "1", "99", ", ,"]),
         "rate": (["0", "0.5", "1", "1000"], ["-1", "1000.5", "inf"]),
-        "duration": (["0", "100"], ["-5"]),
+        "duration": (["0", "100", "1000000"], ["-5", "1000001"]),
     },
     "sim": {
         "packet_energy_cost": (["0", "0.1", "1"], ["-1"]),
@@ -231,3 +231,18 @@ def test_each_value_matches_reference_config(text):
 def test_explicit_node_ceiling_matches_reference_config():
     entries = "; ".join(f"{i},0,1,2" for i in range(MAX_NODES + 1))
     assert_readers_agree(f"[network]\nlayout = explicit\nnodes = {entries}\n")
+
+
+@pytest.mark.parametrize("side", [316, 317])  # 316 * 316 <= MAX_NODES < 317 * 317
+def test_grid_node_ceiling_matches_reference_config(side):
+    assert_readers_agree(
+        f"[network]\nlayout = grid\nrows = {side}\ncols = {side}\nrange = 12\n"
+    )
+
+
+@pytest.mark.parametrize("iterations", [50000, 50001])  # 20 ants by default
+def test_ant_tour_ceiling_matches_reference_config(iterations):
+    assert_readers_agree(
+        "[network]\nlayout = grid\nrows = 2\ncols = 2\nrange = 12\n"
+        f"[search]\niterations = {iterations}\n"
+    )

@@ -73,6 +73,10 @@ class TestCleanLine:
         assert first.found
         assert sim.state.routes[0] == (0, 1, 2)
 
+    def test_unknown_source_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown node id 99"):
+            Simulation(make_config(LINE3, sources=(99,)), seed=1)
+
     def test_fractional_rate_accumulates(self):
         report = run_scenario(make_config(LINE3, duration=6, rate=0.5), seed=1)
         assert report.sent == 3  # emissions land on steps 1, 3, 5
@@ -407,6 +411,18 @@ class TestEnergyDeath:
         assert not sim.net.node(1).alive
         assert sim.state.routes[1] is None
         assert_conserved(sim.run())
+
+    def test_source_drained_by_its_own_search_keeps_the_found_route(self):
+        # every ant's first hop costs the source more than it holds, but
+        # liveness is checked before the search, so the route is installed
+        net = ExplicitNetworkSpec(
+            nodes=((0.0, 0.0, 0.5, 12.0), (10.0, 0.0, 100.0, 12.0),
+                   (20.0, 0.0, 100.0, 12.0)),
+            pe=2,
+        )
+        sim = Simulation(make_config(net, ant_energy_cost=1.0), seed=1)
+        assert sim.state.routes[0] == (0, 1, 2)
+        assert not sim.net.node(0).alive
 
     def test_processing_element_drained_by_a_deceptive_jammer(self):
         grid = GridNetworkSpec(rows=3, cols=3, spacing=10.0, radio_range=12.0,

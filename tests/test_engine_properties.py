@@ -120,7 +120,11 @@ def scenarios(draw):
 @given(scenarios(), st.integers(0, 2**16))
 def test_step_invariants(cfg, seed):
     sim = Simulation(cfg, seed)
+    # the initial installation is a batch at step -1 that counts no reroute
+    assert sim.state.reroutes == 0
+    assert all(s.step == -1 for s in sim.state.searches)
     deaths: Counter[int] = Counter()
+    reroutes = 0
     for _ in range(cfg.duration):
         before = {i: n.energy for i, n in sim.net.nodes.items()}
         events = sim.step()
@@ -134,11 +138,12 @@ def test_step_invariants(cfg, seed):
         }
         assert set(sim.state.streaks) == jammed, f"pre-debounce flags at step {t}"
         if cfg.reroute:
-            sim.detect_and_reroute()
+            reroutes += sum(e.kind == "reroute" for e in sim.detect_and_reroute())
         for i, node in sim.net.nodes.items():
             assert node.energy <= before[i], f"node {i} gained energy at step {t}"
     # a node drained by the last reroute's ants dies after the last report
     assert deaths == Counter(dead)
+    assert reroutes == sim.report().reroutes
     report = report_json_bytes(sim.report())
     assert report == report_json_bytes(run_scenario(cfg, seed))
     assert report == report_json_bytes(
