@@ -432,11 +432,15 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"must be <= {MAX_ANT_TOURS}, got {tours}")
         sec.finish()
         if name == "traffic" and network is not None:
+            listed: dict[int, int] = {}
             for src in values.get("sources", ()):
+                listed[src] = listed.get(src, 0) + 1
                 if not 0 <= src < network.node_count:
                     sec.error("sources", f"node id {src} out of range")
                 elif src == network.pe:
                     sec.error("sources", f"node {src} is the processing element")
+                elif listed[src] == 2:
+                    sec.error("sources", f"node {src} listed twice")
         fields.update(values if section_type is None else {name: values})
 
     jammers = []
@@ -525,6 +529,12 @@ def resolve_totals(cfg: ScenarioConfig, net: Network) -> MetricTotals:
 
 def resolve_sources(cfg: ScenarioConfig, net: Network) -> tuple[int, ...]:
     if cfg.sources is not None:
+        # parse_config refuses a repeat too; this catches configs built in code
+        seen: set[int] = set()
+        for src in cfg.sources:
+            if src in seen:
+                raise ValueError(f"node {src} listed twice")
+            seen.add(src)
         return cfg.sources
     candidates = [i for i in sorted(net.nodes) if i != net.pe_id]
     return (candidates[0],)

@@ -4,9 +4,10 @@ Each step runs in a fixed order: reactive jammers sense last step's
 transmissions, the radio picture is sampled, jammed flags update (debounced),
 deceptive victims pay receive energy, in-flight packets advance one hop, and
 sources emit new packets. detect_and_reroute runs after the step whenever
-rerouting is enabled: routes crossing newly flagged (or newly dead) nodes are
-re-searched from their source to the processing element over the current link
-quality table, and sources without a path suspend until the picture changes.
+rerouting is enabled: routes crossing a node flagged now but not at the last
+reroute, or dead since then, are re-searched from their source to the
+processing element over the current link quality table, and sources without a
+path suspend until the picture changes.
 
 Determinism contract: every random draw comes from streams derived from the
 run seed, so identical (config, seed) pairs replay identically, including
@@ -78,12 +79,11 @@ class SearchSummary:
 class RunReport:
     """Outcome of one scenario run.
 
-    The packet totals and jam counts are read off the step trace, which is
-    held once, flat, ROW int64 values per step.
+    The steps run, the packet totals and the jam counts are read off the step
+    trace, which is held once, flat, ROW int64 values per step.
     """
 
     seed: int
-    duration: int
     mean_delay: float
     reroutes: int
     energy_spent: dict[int, float]
@@ -91,6 +91,7 @@ class RunReport:
     flat_trace: array
 
     # the totals are the last row's
+    duration = property(lambda self: len(self.flat_trace) // ROW)
     sent = property(lambda self: self._last(1))
     delivered = property(lambda self: self._last(2))
     dropped = property(lambda self: self._last(3))
@@ -121,11 +122,10 @@ class RunReport:
 
 @dataclass
 class ScenarioState:
-    time: int = 0
     routes: dict[int, tuple[int, ...] | None] = field(default_factory=dict)
     packets: list[Packet] = field(default_factory=list)
     flags: set[int] = field(default_factory=set)
-    prev_flags: set[int] = field(default_factory=set)
+    routed_flags: set[int] = field(default_factory=set)  # as of the last reroute
     streaks: dict[int, int] = field(default_factory=dict)
     newly_dead: set[int] = field(default_factory=set)  # since the last reroute
     unreported_dead: set[int] = field(default_factory=set)  # since the last step
@@ -133,13 +133,12 @@ class ScenarioState:
     last_samples: Mapping[int, RadioSample] = field(default_factory=dict)
     emit_acc: dict[int, float] = field(default_factory=dict)
     counters: dict[tuple[int, int], LinkCounters] = field(default_factory=dict)
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
     delay_sum: int = 0
     reroutes: int = 0
     trace: array = field(default_factory=lambda: array("q"))  # ROW values per step
     searches: list[SearchSummary] = field(default_factory=list)
+
+    time = property(lambda self: len(self.trace) // ROW)  # the steps run
 
 
 class Simulation:
@@ -152,11 +151,11 @@ class Simulation:
         self.jammers = build_jammers(config)
         self.radio = config.radio
         self.totals = resolve_totals(config, self.net)
-        self.sources = resolve_sources(config, self.net)
+        sources = resolve_sources(config, self.net)
         self.jam_rng = Random(f"{seed}/jammers")
         self.state = ScenarioState()
-        self.state.routes = {src: None for src in self.sources}
-        self.state.emit_acc = {src: 0.0 for src in self.sources}
+        self.state.routes = {src: None for src in sources}
+        self.state.emit_acc = {src: 0.0 for src in sources}
         self._initial_energy = {i: n.energy for i, n in self.net.nodes.items()}
         # clean network: jammers have not emitted yet
         self.state.last_samples = sample_radio(self.net, [], 0, self.radio, Random(0))
@@ -217,6 +216,7 @@ class Simulation:
         """Advance the scenario one time step; returns this step's events."""
         st = self.state
         t = st.time
+        sent, delivered, dropped = st.trace[1 - ROW : 4 - ROW] if st.trace else (0, 0, 0)
         cfg = self.config
         nodes = self.net.nodes
         events: list[Event] = []
@@ -242,7 +242,6 @@ class Simulation:
             events.append(Event(t, "flagged", node=i))
         for i in sorted(st.flags - flags):
             events.append(Event(t, "cleared", node=i))
-        st.prev_flags = st.flags
         st.flags = flags
 
         # 3. deceptive jammers keep their victims busy receiving fake packets
@@ -260,7 +259,7 @@ class Simulation:
             cur = pkt.route[pkt.idx]
             nxt = pkt.route[pkt.idx + 1]
             if cur in flags or not nodes[cur].alive:
-                st.dropped += 1
+                dropped += 1
                 events.append(
                     Event(t, "drop", node=cur, source=pkt.source,
                           detail="holder jammed or dead")
@@ -272,7 +271,7 @@ class Simulation:
             if nxt in flags or not nodes[nxt].alive:
                 counter.attempts += 1
                 counter.lost += 1
-                st.dropped += 1
+                dropped += 1
                 events.append(
                     Event(t, "drop", node=nxt, source=pkt.source,
                           detail="next hop jammed or dead")
@@ -284,7 +283,7 @@ class Simulation:
             self._drain(cur, cfg.packet_energy_cost)
             pkt.idx += 1
             if pkt.idx == len(pkt.route) - 1:
-                st.delivered += 1
+                delivered += 1
                 st.delay_sum += t - pkt.sent_at
                 events.append(Event(t, "deliver", node=nxt, source=pkt.source))
             else:
@@ -302,25 +301,24 @@ class Simulation:
             while acc >= 1.0:
                 acc -= 1.0
                 st.packets.append(Packet(src, route, 0, t))
-                st.sent += 1
+                sent += 1
             st.emit_acc[src] = acc
 
         st.last_transmitters = transmitters
         st.last_samples = samples
-        st.trace.extend(
-            (t, st.sent, st.delivered, st.dropped, len(st.packets), len(flags))
-        )
+        st.trace.extend((t, sent, delivered, dropped, len(st.packets), len(flags)))
         for i in sorted(st.unreported_dead):
             events.append(Event(t, "death", node=i))
         st.unreported_dead = set()
-        st.time = t + 1
         return events
 
     def detect_and_reroute(self) -> list[Event]:
-        """React to flag transitions: re-search affected routes, suspend dead ends."""
+        """Re-search routes crossing a node flagged now but not at the last call,
+        or dead since then; suspend sources left without a path."""
         st = self.state
-        newly_flagged = st.flags - st.prev_flags
-        cleared = st.prev_flags - st.flags
+        newly_flagged = st.flags - st.routed_flags
+        cleared = st.routed_flags - st.flags
+        st.routed_flags = st.flags
         deaths = set(st.newly_dead)
         st.newly_dead = set()
         changed = bool(newly_flagged or cleared or deaths)
@@ -353,14 +351,14 @@ class Simulation:
 
     def report(self) -> RunReport:
         st = self.state
-        mean_delay = st.delay_sum / st.delivered if st.delivered else 0.0
+        delivered = st.trace[2 - ROW] if st.trace else 0
+        mean_delay = st.delay_sum / delivered if delivered else 0.0
         energy_spent = {
             i: self._initial_energy[i] - self.net.nodes[i].energy
             for i in sorted(self.net.nodes)
         }
         return RunReport(
             seed=self.seed,
-            duration=self.config.duration,
             mean_delay=mean_delay,
             reroutes=st.reroutes,
             energy_spent=energy_spent,

@@ -5,7 +5,7 @@ its own line in `format_config`. The package reads and writes every key from
 one declarative table; tests/test_config_equivalence.py checks that both
 give equal configs, or equal ordered error lists, on generated documents.
 
-Ten fixes are applied on top of the original code, and nothing else:
+Eleven fixes are applied on top of the original code, and nothing else:
 `pe` is read for every layout, after the layout's own keys, and its range is
 checked only when the node count is known (it used to be reported as an
 unknown key whenever another `[network]` key was invalid); an infinite
@@ -28,7 +28,10 @@ are read (the node ceiling bounded only random and grid layouts); and the
 parse ceilings are mirrored: a random `count` or a grid's `rows * cols` above
 `MAX_NODES`, a `[traffic] duration` above `MAX_DURATION`, and `[search]`
 `(n_explorers + n_exploiters) * iterations` above `MAX_ANT_TOURS` are
-rejected (this reader accepted all four, which the package rejects).
+rejected (this reader accepted all four, which the package rejects); and a
+`[traffic] sources` id listed twice is rejected (`node N listed twice`, once
+per repeated id; the run had one flow per distinct id, and `format_config`
+wrote the repeat back).
 """
 
 from __future__ import annotations
@@ -398,6 +401,7 @@ def parse_config(text: str) -> ScenarioConfig:
         sec.finish()
         if sources is not None and network is not None:
             count = network.node_count
+            seen, repeated = set(), set()
             for src in sources:
                 if not 0 <= src < count:
                     sec.error("sources", f"node id {src} out of range")
@@ -405,6 +409,10 @@ def parse_config(text: str) -> ScenarioConfig:
                     sec.error(
                         "sources", f"node {src} is the processing element"
                     )
+                elif src in seen and src not in repeated:
+                    repeated.add(src)
+                    sec.error("sources", f"node {src} listed twice")
+                seen.add(src)
 
     packet_cost, ant_cost, rx_cost = 1.0, 1.0, 1.0
     reroute, restore_routes = True, False

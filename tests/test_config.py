@@ -281,6 +281,16 @@ class TestErrors:
             for key, reason in errors
         )
 
+    def test_repeated_source_rejected(self):
+        # a repeat used to parse, though the run had one flow per distinct id
+        text = MINIMAL + "\n[traffic]\nsources = 3, 1, 3, 2, 1, 3\n"
+        expected = [("traffic.sources", "node 3 listed twice"),
+                    ("traffic.sources", "node 1 listed twice")]
+        assert errors_of(text) == expected
+        with pytest.raises(ConfigError) as excinfo:
+            ref.parse_config(text)
+        assert excinfo.value.errors == expected
+
     @pytest.mark.parametrize("key", ["snr_total", "total_hops", "energy_capacity"])
     def test_infinite_metrics_total_names_the_key(self, key):
         # an infinite total used to fail every run late, on a NaN factor

@@ -66,7 +66,7 @@ SECTIONS = {
         "psl_delta": (["0", "0.2"], ["1", "1.0", "-0.1"]),
     },
     "traffic": {
-        "sources": (["2", "3", "2, 3", "3,2,3"], ["-1", "0", "1", "99", ", ,"]),
+        "sources": (["2", "3", "2, 3"], ["-1", "0", "1", "99", ", ,", "3,2,3"]),
         "rate": (["0", "0.5", "1", "1000"], ["-1", "1000.5", "inf"]),
         "duration": (["0", "100", "1000000"], ["-5", "1000001"]),
     },

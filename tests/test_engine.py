@@ -77,6 +77,11 @@ class TestCleanLine:
         with pytest.raises(ValueError, match="unknown node id 99"):
             Simulation(make_config(LINE3, sources=(99,)), seed=1)
 
+    def test_repeated_source_id_rejected(self):
+        # parse_config refuses the repeat; a config built in code is refused too
+        with pytest.raises(ValueError, match="node 0 listed twice"):
+            Simulation(make_config(LINE3, sources=(0, 1, 0)), seed=1)
+
     def test_fractional_rate_accumulates(self):
         report = run_scenario(make_config(LINE3, duration=6, rate=0.5), seed=1)
         assert report.sent == 3  # emissions land on steps 1, 3, 5
@@ -256,6 +261,22 @@ class TestReroute:
         assert sim.state.routes[0] == (0, 2, 3)
         assert len(sim.state.searches) == 2  # install and the one reroute
         assert sim.state.reroutes == 1
+
+    def test_reroute_sees_a_flag_raised_before_the_last_step(self):
+        # the jammer on the centre of a 3x3 grid flags node 4 at step 0; a
+        # reroute after step 1 must still see it, though step 1 raised none
+        grid = GridNetworkSpec(rows=3, cols=3, spacing=10.0, radio_range=12.0,
+                               pe=8)
+        jam = (JammerSpec(kind="constant", x=10.0, y=10.0, power=0.01),)
+        cfg = make_config(grid, jammers=jam, sources=(0,), search=SearchParams())
+        sim = Simulation(cfg, seed=1)
+        assert sim.state.routes[0] == (0, 1, 4, 5, 8)
+        assert any(e.kind == "flagged" and e.node == 4 for e in sim.step())
+        sim.step()
+        events = sim.detect_and_reroute()
+        assert 4 in sim.state.flags
+        assert 4 not in sim.state.routes[0]
+        assert [e.kind for e in events] == ["reroute"]
 
 
 class TestReactiveJammer:

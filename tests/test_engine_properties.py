@@ -8,15 +8,21 @@ energy, and the nodes with a jam streak are exactly the brute-force set of
 nodes whose sampled signal-to-noise ratio is below 1. Over the run each node
 that died has exactly one death event, and the same config and seed replay
 to the same report bytes, also after a `format_config` -> `parse_config`
-round trip.
+round trip. A config that lists a source twice is refused both by
+`Simulation` and, after `format_config`, by `parse_config`. Driven with
+`detect_and_reroute()` after every first, second or third step instead, no
+route left by a reroute crosses a flagged node.
 """
 
 from collections import Counter
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from antjam.ants import SearchParams
 from antjam.config import (
+    ConfigError,
     ExplicitNetworkSpec,
     GridNetworkSpec,
     JammerSpec,
@@ -119,6 +125,12 @@ def scenarios(draw):
 @settings(max_examples=100, deadline=None)
 @given(scenarios(), st.integers(0, 2**16))
 def test_step_invariants(cfg, seed):
+    if cfg.sources and len(set(cfg.sources)) < len(cfg.sources):
+        with pytest.raises(ValueError, match="listed twice"):
+            Simulation(cfg, seed)
+        with pytest.raises(ConfigError, match="listed twice"):
+            parse_config(format_config(cfg))
+        return
     sim = Simulation(cfg, seed)
     # the initial installation is a batch at step -1 that counts no reroute
     assert sim.state.reroutes == 0
@@ -149,3 +161,25 @@ def test_step_invariants(cfg, seed):
     assert report == report_json_bytes(
         run_scenario(parse_config(format_config(cfg)), seed)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.integers(0, 2**16), st.sampled_from([1, 2, 3]))
+def test_reroutes_see_every_flag_since_the_last(cfg, seed, every):
+    """Rerouting after every k-th step leaves no route through a flagged node.
+
+    A dead node is not checked: a batch's own ants can drain a relay of the
+    route that the batch has just found.
+    """
+    if cfg.sources:  # each source once, as Simulation requires
+        cfg = replace(cfg, sources=tuple(dict.fromkeys(cfg.sources)))
+    sim = Simulation(cfg, seed)
+    for t in range(1, cfg.duration + 1):
+        sim.step()
+        if t % every:
+            continue
+        sim.detect_and_reroute()
+        dead = {i for i, n in sim.net.nodes.items() if not n.alive}
+        for src, route in sim.state.routes.items():
+            crossed = set(route or ()) & sim.state.flags - dead
+            assert not crossed, f"route of {src} crosses flagged {crossed} at {t}"

@@ -12,12 +12,14 @@ the one in DIGESTS. The digests were recorded before the step trace moved into
 one flat int64 array and the JSON encoder began writing the per-step arrays by
 hand, so a change to either that moves a byte fails here. The same runs must
 reach a death, a dead processing element, a suspended source, a reroute, a
-restored route and a flag from every jammer kind, and each report's totals
-must be the ones its trace rows give.
+restored route and a flag from every jammer kind, each report's totals
+must be the ones its trace rows give, and the events the runs returned must
+add up to those totals, to the reroutes and to the dead nodes.
 """
 
 import hashlib
 import json
+from collections import Counter
 from functools import lru_cache
 from random import Random
 
@@ -94,7 +96,10 @@ def draw_scenario(rng, duration):
     others = [i for i in range(count) if i != network.pe]
     sources = None
     if rng.random() < 0.75:
-        sources = tuple(rng.choice(others) for _ in range(rng.randint(1, 3)))
+        # a repeated draw is dropped: a source is listed once
+        sources = tuple(dict.fromkeys(
+            rng.choice(others) for _ in range(rng.randint(1, 3))
+        ))
     n_explorers = rng.randint(0, 3)
     search = SearchParams(
         n_explorers=n_explorers,
@@ -129,21 +134,28 @@ def corpus():
 
 @lru_cache(maxsize=None)
 def drive(k):
-    """Run scenario k step by step: (sim, report, the outcomes it reached)."""
+    """Run scenario k step by step.
+
+    Returns (sim, report, the outcomes it reached, every event it returned).
+    """
     config, seed = corpus()[k]
     sim = Simulation(config, seed)
     st = sim.state
     reached = set()
+    log = []
     for _ in range(config.duration):
         events = sim.step()
+        log += events
         kinds = {e.kind for e in events}
         reached |= kinds & {"death", "flagged"}
         if not config.reroute:
             continue
         # a route re-searched only because a flag cleared, that changed
-        stale = (st.flags - st.prev_flags) | st.newly_dead
+        stale = (st.flags - st.routed_flags) | st.newly_dead
         old = dict(st.routes)
-        reached |= {e.kind for e in sim.detect_and_reroute()}
+        rerouted = sim.detect_and_reroute()
+        log += rerouted
+        reached |= {e.kind for e in rerouted}
         if "cleared" in kinds and any(
             route is not None and st.routes[src] not in (None, route)
             and not stale & set(route)
@@ -155,7 +167,7 @@ def drive(k):
     jam_kinds = {j.kind for j in config.jammers}
     if "flagged" in reached and len(jam_kinds) == 1:
         reached.add("flag from " + jam_kinds.pop())
-    return sim, sim.report(), reached
+    return sim, sim.report(), reached, log
 
 
 # scenario index -> sha256 of its report
@@ -205,7 +217,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("k", range(CORPUS_SIZE))
 def test_report_bytes_are_pinned(k):
-    _, report, _ = drive(k)
+    report = drive(k)[1]
     assert hashlib.sha256(report_json_bytes(report)).hexdigest() == DIGESTS[k]
 
 
@@ -226,15 +238,14 @@ def test_empty_run_writes_empty_arrays():
 
 @pytest.mark.parametrize("k", range(CORPUS_SIZE))
 def test_totals_are_read_off_the_trace(k):
-    sim, report, _ = drive(k)
+    sim, report = drive(k)[:2]
     rows = report.trace
-    assert len(rows) == report.duration
-    assert len(report.flat_trace) == ROW * report.duration
+    assert len(rows) == report.duration == sim.config.duration
+    assert len(report.flat_trace) == ROW * sim.config.duration
     last = rows[-1] if rows else [0, 0, 0, 0, 0, 0]
     assert [report.sent, report.delivered, report.dropped, report.in_flight] == (
         last[1:5]
     )
-    assert (report.sent, report.delivered) == (sim.state.sent, sim.state.delivered)
     assert report.in_flight == len(sim.state.packets)
     assert report.pdr == (report.delivered / report.sent if report.sent else 1.0)
     assert report.jammed_per_step == [row[5] for row in rows]
@@ -242,3 +253,17 @@ def test_totals_are_read_off_the_trace(k):
     assert [row[0] for row in rows] == list(range(len(rows)))
     for t, sent, delivered, dropped, in_flight, _ in rows:
         assert sent == delivered + dropped + in_flight, f"imbalance at step {t}"
+
+
+@pytest.mark.parametrize("k", range(CORPUS_SIZE))
+def test_events_reconcile_with_the_report(k):
+    sim, report, _, log = drive(k)
+    kinds = Counter(e.kind for e in log)
+    assert kinds["deliver"] == report.delivered
+    assert kinds["drop"] == report.dropped
+    assert kinds["reroute"] == report.reroutes
+    # a death after the last step (the last reroute's ants, or the setup of
+    # a run of no steps) is pending, never reported
+    deaths = [e.node for e in log if e.kind == "death"]
+    dead = [i for i, n in sorted(sim.net.nodes.items()) if not n.alive]
+    assert sorted(deaths + list(sim.state.unreported_dead)) == dead

@@ -29,7 +29,6 @@ def make_report(seed=1, delay=2.0, reroutes=1, rows=ROWS):
     """A report whose totals are read off `rows`, as the engine's are."""
     return RunReport(
         seed=seed,
-        duration=len(rows),
         mean_delay=delay,
         reroutes=reroutes,
         energy_spent={0: 4.0, 1: 3.123456789, 2: 0.0},
@@ -145,6 +144,7 @@ class TestRunReportSerialization:
             sim.step()
             sim.detect_and_reroute()
         assert report.trace == rows and len(rows) == 15
+        assert report.duration == 15  # the steps run, not the configured 40
         assert report_json_bytes(report) == payload
         assert len(sim.report().trace) == 40
 
