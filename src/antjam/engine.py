@@ -49,8 +49,7 @@ ROW = 6
 
 @dataclass
 class Packet:
-    source: int
-    route: tuple[int, ...]  # snapshot of the route at send time
+    route: tuple[int, ...]  # snapshot of the route at send time; [0] is the source
     idx: int  # position within route
     sent_at: int
 
@@ -173,15 +172,13 @@ class Simulation:
 
         A source dead when its turn comes (an earlier search's ants may have
         drained it) gets no search, nor does any source while the PE is dead
-        (a deceptive jammer's fake traffic can drain it).
+        (a deceptive jammer's fake traffic can drain it). The table is built
+        at the first search, so a batch that searches nothing builds none.
         """
         st = self.state
         net = self.net
         step = st.time - 1  # -1 for the initial installation
-        quality = quality_from_metrics(build_link_metrics(
-            net, st.last_samples, counters=st.counters, totals=self.totals,
-            flagged=frozenset(st.flags),
-        ))
+        quality = None
         events: list[Event] = []
         for src in sources:
             old = st.routes[src]
@@ -190,6 +187,11 @@ class Simulation:
                 continue
             best = None
             if net.node(net.pe_id).alive:
+                if quality is None:
+                    quality = quality_from_metrics(build_link_metrics(
+                        net, st.last_samples, counters=st.counters,
+                        totals=self.totals, flagged=frozenset(st.flags),
+                    ))
                 rng = Random(f"{self.seed}/search/{len(st.searches)}")
                 result = run_search(net, src, net.pe_id, self.config.search, rng, quality)
                 for node_id, hops in sorted(result.transmit_counts.items()):
@@ -261,7 +263,7 @@ class Simulation:
             if cur in flags or not nodes[cur].alive:
                 dropped += 1
                 events.append(
-                    Event(t, "drop", node=cur, source=pkt.source,
+                    Event(t, "drop", node=cur, source=pkt.route[0],
                           detail="holder jammed or dead")
                 )
                 continue
@@ -273,7 +275,7 @@ class Simulation:
                 counter.lost += 1
                 dropped += 1
                 events.append(
-                    Event(t, "drop", node=nxt, source=pkt.source,
+                    Event(t, "drop", node=nxt, source=pkt.route[0],
                           detail="next hop jammed or dead")
                 )
                 continue
@@ -285,7 +287,7 @@ class Simulation:
             if pkt.idx == len(pkt.route) - 1:
                 delivered += 1
                 st.delay_sum += t - pkt.sent_at
-                events.append(Event(t, "deliver", node=nxt, source=pkt.source))
+                events.append(Event(t, "deliver", node=nxt, source=pkt.route[0]))
             else:
                 kept.append(pkt)
         st.packets = kept
@@ -300,7 +302,7 @@ class Simulation:
             acc = st.emit_acc[src] + cfg.rate
             while acc >= 1.0:
                 acc -= 1.0
-                st.packets.append(Packet(src, route, 0, t))
+                st.packets.append(Packet(route, 0, t))
                 sent += 1
             st.emit_acc[src] = acc
 

@@ -211,11 +211,9 @@ _MISSING = object()
 class LinkTable(Mapping[tuple[int, int], _V]):
     """A read-only value per directed link, held per node.
 
-    Link (i, j) reads its own entry when it has one (a link with a counter),
-    else j's flagged-source entry when i is flagged, else j's plain entry.
-    The link set is a snapshot taken with the entries, so a later death
-    changes nothing the table answers. Iteration is in ascending (i, j)
-    order.
+    A link (i, j) in the given link set, read live, reads its own entry when
+    it has one (a link with a counter), else j's flagged-source entry when i
+    is flagged, else j's plain entry. Iteration is in ascending (i, j) order.
     """
 
     __slots__ = ("_links", "_flagged", "_plain", "_blocked", "_own")
@@ -235,11 +233,11 @@ class LinkTable(Mapping[tuple[int, int], _V]):
         self._own = own
 
     def get(self, link: object, default=None):
+        if link not in self._links:
+            return default
         value = self._own.get(link)
         if value is not None:
             return value
-        if link not in self._links:
-            return default
         i, j = link
         return (self._blocked if i in self._flagged else self._plain)[j]
 
@@ -276,7 +274,7 @@ def build_link_metrics(
     totals: MetricTotals | None = None,
     flagged: frozenset[int] = frozenset(),
 ) -> LinkTable[LinkMetrics]:
-    """Measure every directed link, in ascending (i, j) order.
+    """Measure every directed link, over the live link set that the table keeps.
 
     Apart from its counter, a link (i, j) reads its source only through
     `i in flagged`. So the table measures each live node once as a
@@ -292,7 +290,6 @@ def build_link_metrics(
         totals = MetricTotals.for_network(net)
     flagged = frozenset(flagged)
     hops = hop_counts(net, net.pe_id, blocked=flagged)
-    links = net.distance.copy()
     plain = {
         j: _measure(net, samples, j, False, None, totals, flagged, hops)
         for j, node in net.nodes.items()
@@ -308,9 +305,9 @@ def build_link_metrics(
             net, samples, link[1], link[0] in flagged, counter, totals, flagged, hops
         )
         for link, counter in sorted((counters or {}).items())
-        if link in links
+        if link in net.distance
     }
-    return LinkTable(links, flagged, plain, blocked, own)
+    return LinkTable(net.distance, flagged, plain, blocked, own)
 
 
 def quality_from_metrics(table: LinkTable[LinkMetrics]) -> LinkTable[float]:

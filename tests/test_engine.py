@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from antjam import engine
 from antjam.ants import SearchParams
 from antjam.config import (
     ExplicitNetworkSpec,
@@ -456,6 +457,43 @@ class TestEnergyDeath:
         assert not sim.net.node(4).alive
         assert all(route is None for route in sim.state.routes.values())
         assert_conserved(sim.report())
+
+    def test_a_batch_that_searches_nothing_builds_no_table(self, monkeypatch):
+        # once the PE is dead, a death still lists the sources again, but the
+        # batch searches none of them and so builds no quality table
+        tables = []
+        build = engine.build_link_metrics
+
+        def counted(*args, **kwargs):
+            tables.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_link_metrics", counted)
+        grid = GridNetworkSpec(rows=3, cols=3, spacing=10.0, radio_range=12.0,
+                               energy=3.0, pe=4)
+        jam = (JammerSpec(kind="deceptive", x=10.0, y=10.0, power=0.01),)
+        sim = Simulation(make_config(grid, jammers=jam, duration=10), seed=1)
+        assert len(tables) == 1  # setup's batch
+        batches = []  # (sources, tables built, searches run) with the PE dead
+        route = Simulation._route
+
+        def recorded(self, sources):
+            pe_dead = not self.net.node(self.net.pe_id).alive
+            counts = len(tables), len(self.state.searches)
+            events = route(self, sources)
+            if pe_dead:
+                batches.append((sources, len(tables) - counts[0],
+                                len(self.state.searches) - counts[1]))
+            return events
+
+        monkeypatch.setattr(Simulation, "_route", recorded)
+        for _ in range(10):
+            sim.step()
+            sim.detect_and_reroute()
+        assert not sim.net.node(4).alive
+        assert batches
+        assert all(sources and built == searched == 0
+                   for sources, built, searched in batches)
 
 
 class TestDeterminism:

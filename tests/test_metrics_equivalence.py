@@ -6,8 +6,9 @@ a counter; it scores those entries, not the links. None of that may change a
 result: on generated networks, while relays die and flags, samples and
 counters change between builds, the metrics table and the quality table must
 equal the per-link original in order and bit for bit, have its length, miss
-the same keys, keep answering as built after later deaths, and an invalid
-counter must raise the same error. Extreme signal and noise powers and
+the same keys, answer after later deaths for exactly the links still alive
+with the values built, miss every dead link, one with a counter too, and an
+invalid counter must raise the same error. Extreme signal and noise powers and
 infinite node energies under finite totals must never raise.
 """
 
@@ -105,9 +106,17 @@ def test_matches_reference_metrics(case):
         old_links = set(net.links)
         for i, amount in drains:
             net.drain_energy(i, amount)
-        # a table already built answers as it did, whatever died since
+        # a table already built answers for exactly the links still alive,
+        # with the values it was built with, and misses every link that died
+        # since, one with a counter too
         for table, items in built:
-            assert list(table.items()) == items
+            alive = [(link, value) for link, value in items if link in net.links]
+            assert list(table.items()) == alive
+            for link in sorted(dict(items).keys() - net.links):
+                assert link not in table
+                assert table.get(link, "missing") == "missing"
+                with pytest.raises(KeyError):
+                    table[link]
         rng = Random(seed)
         links = sorted(net.links)
         counters = counters_of(rng, links, bad == "counter")
@@ -154,3 +163,20 @@ def test_invalid_entries_raise_like_measure_link(counters):
         build_link_metrics(net, samples, counters)
     assert str(got.value) == str(want.value)
     assert "outside" in str(got.value)
+
+
+def test_a_link_that_dies_after_the_build_misses_with_its_counter():
+    # the table reads the network's live link set, so a counter's own entry
+    # answers only while its link lives
+    net = build_network([((0.0, 0.0), 1.0, 1.5), ((1.0, 0.0), 1.0, 1.5),
+                         ((2.0, 0.0), 1.0, 1.5)], 2)
+    samples = {i: RadioSample(5.0, 1.0) for i in net.nodes}
+    metrics = build_link_metrics(net, samples, {(0, 1): LinkCounters(2, 1, 1)})
+    quality = quality_from_metrics(metrics)
+    assert metrics[(0, 1)].delivery == 0.5
+    assert net.drain_energy(1, 1.0)  # node 1 dies, and every link with it
+    for table in (metrics, quality):
+        assert list(table.items()) == []
+        assert table.get((0, 1), "missing") == "missing"
+        with pytest.raises(KeyError):
+            table[(0, 1)]

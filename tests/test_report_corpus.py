@@ -14,7 +14,8 @@ hand, so a change to either that moves a byte fails here. The same runs must
 reach a death, a dead processing element, a suspended source, a reroute, a
 restored route and a flag from every jammer kind, each report's totals
 must be the ones its trace rows give, and the events the runs returned must
-add up to those totals, to the reroutes and to the dead nodes.
+add up to those totals, to the reroutes and to the dead nodes. No search's
+best path may cross a node that was dead when the search started.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from random import Random
 
 import pytest
 
+from antjam import engine
 from antjam.ants import SearchParams
 from antjam.config import (
     ExplicitNetworkSpec,
@@ -267,3 +269,35 @@ def test_events_reconcile_with_the_report(k):
     deaths = [e.node for e in log if e.kind == "death"]
     dead = [i for i, n in sorted(sim.net.nodes.items()) if not n.alive]
     assert sorted(deaths + list(sim.state.unreported_dead)) == dead
+
+
+def test_no_search_crosses_a_node_dead_when_it_started(monkeypatch):
+    # A batch's quality table answers for the live links, so the table is
+    # sound only if no search reads a dead node's links: no best path may
+    # cross a node dead at its search's start, one that an earlier search of
+    # the same batch drained after the table was built included.
+    def dead(net):
+        return {i for i, n in net.nodes.items() if not n.alive}
+
+    tables = []  # the dead set when each table was built
+    searches = []  # (dead at its table, dead at its start, best path)
+    build, search = engine.build_link_metrics, engine.run_search
+
+    def built(net, *args, **kwargs):
+        tables.append(dead(net))
+        return build(net, *args, **kwargs)
+
+    def searched(net, *args):
+        at_start = dead(net)
+        result = search(net, *args)
+        if result.best is not None:
+            searches.append((tables[-1], at_start, result.best.path))
+        return result
+
+    monkeypatch.setattr(engine, "build_link_metrics", built)
+    monkeypatch.setattr(engine, "run_search", searched)
+    for k in range(CORPUS_SIZE):
+        drive.__wrapped__(k)  # uncached, so every search runs through the wrappers
+    assert any(at_table < at_start for at_table, at_start, _ in searches)
+    for _, at_start, path in searches:
+        assert not at_start & set(path), (sorted(at_start), path)
