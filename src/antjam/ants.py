@@ -136,21 +136,6 @@ def init_colonies(params: SearchParams, rng: Random) -> list[Ant]:
     return ants
 
 
-def _weight(
-    node: int,
-    u: int,
-    pheromone: Mapping[tuple[int, int], float],
-    quality: Mapping[tuple[int, int], float],
-    distance: Mapping[tuple[int, int], float],
-    params: SearchParams,
-) -> float:
-    base = pheromone[(node, u)] * quality[(node, u)]
-    if base == 0.0:
-        # a dead link must never attract probability, even with alpha == 0
-        return 0.0
-    return base**params.alpha * (1.0 / distance[(node, u)]) ** params.beta
-
-
 def _normalize(weights: Sequence[float]) -> list[float] | None:
     """weights / their sum, in order; None when the sum is not positive."""
     total = sum(weights)
@@ -169,6 +154,23 @@ def _argmax(weights: Sequence[float]) -> int | None:
     return best_k
 
 
+def _row_weights(
+    node: int,
+    ordered: Sequence[int],
+    pheromone: Mapping[tuple[int, int], float],
+    quality: Mapping[tuple[int, int], float],
+    distance: Mapping[tuple[int, int], float],
+    params: SearchParams,
+) -> Sequence[float]:
+    """The weights of node's candidates in this order, by the walker's code."""
+    links = [(node, u) for u in ordered]
+    trail = PheromoneTable({link: pheromone[link] for link in links})
+    walk = _Walk(None, node, None, None, trail, params)
+    inv_d_beta = [(1.0 / distance[link]) ** params.beta for link in links]
+    walk.rows[node] = (ordered, inv_d_beta, [quality[link] for link in links], ())
+    return walk._weights(node)[1]
+
+
 def transition_probabilities(
     node: int,
     candidates: Sequence[int],
@@ -179,13 +181,12 @@ def transition_probabilities(
 ) -> dict[int, float]:
     """Normalized next-hop probabilities over the candidate neighbors.
 
-    Weight of candidate u is (pheromone * quality)^alpha * (1/distance)^beta.
-    Raises DeadEnd when every weight is zero.
+    Weight of candidate u is (pheromone * quality)^alpha * (1/distance)^beta,
+    0 when pheromone * quality is 0; each candidate link must be in all three
+    mappings. Raises DeadEnd when every weight is zero.
     """
     ordered = sorted(candidates)
-    probs = _normalize(
-        [_weight(node, u, pheromone, quality, distance, params) for u in ordered]
-    )
+    probs = _normalize(_row_weights(node, ordered, pheromone, quality, distance, params))
     if probs is None:
         raise DeadEnd(f"no live candidate out of node {node}")
     return dict(zip(ordered, probs))
@@ -199,11 +200,10 @@ def choose_next_exploiter(
     distance: Mapping[tuple[int, int], float],
     params: SearchParams,
 ) -> int:
-    """Greedy next hop: the best-weighted candidate, lowest id on ties."""
+    """Greedy next hop: the best-weighted candidate, lowest id on ties; each
+    candidate link must be in all three mappings."""
     ordered = sorted(candidates)
-    k = _argmax(
-        [_weight(node, u, pheromone, quality, distance, params) for u in ordered]
-    )
+    k = _argmax(_row_weights(node, ordered, pheromone, quality, distance, params))
     if k is None:
         raise DeadEnd(f"no live candidate out of node {node}")
     return ordered[k]
@@ -226,9 +226,10 @@ class _Walk:
     A node's row holds its live neighbors with quality > 0 in id order, with
     each link's (1/distance)^beta, quality and distance in tuples sized to fit;
     it is built when an ant first reaches the node. The round's weights swap in
-    the _weight values under the current pheromone for (1/distance)^beta, on
-    the first visit in a round, and hold for the rest of it: pheromone only
+    the transition weights under the current pheromone for (1/distance)^beta,
+    on the first visit in a round, and hold for the rest of it: pheromone only
     changes between rounds. new_round drops them, and must follow every update.
+    The public rule functions weigh their candidates with _weights too.
     """
 
     def __init__(
@@ -272,7 +273,7 @@ class _Walk:
         # dict.get with the untouched value, not the Python-level __missing__
         pheromone_of, untouched = self.pheromone.get, self.pheromone.untouched
         alpha = self.alpha
-        # the rule of _weight, with (1/distance)^beta taken from the row
+        # the transition rule, with (1/distance)^beta taken from the row
         weights = [
             base**alpha * d if (base := pheromone_of((node, u), untouched) * q) else 0.0
             for u, q, d in zip(ids, quals, inv_d_beta)

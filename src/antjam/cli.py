@@ -26,12 +26,14 @@ MAX_SEEDS = 10_000
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." not in text:
-        raise ValueError(f"expected <a>..<b>, got {text!r}")
-    lo_text, hi_text = text.split("..", 1)
-    lo, hi = int(lo_text, 10), int(hi_text, 10)
+    """The seeds of an inclusive range a..b; every error names --seeds."""
+    lo_text, _, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text, 10), int(hi_text, 10)
+    except ValueError:
+        raise ValueError(f"--seeds: expected <a>..<b>, got {text!r}") from None
     if lo < 0 or hi < lo:
-        raise ValueError(f"need 0 <= a <= b, got {text!r}")
+        raise ValueError(f"--seeds: need 0 <= a <= b, got {text!r}")
     if hi - lo >= MAX_SEEDS:
         raise ValueError(f"--seeds: at most {MAX_SEEDS} seeds, got {text!r}")
     return list(range(lo, hi + 1))

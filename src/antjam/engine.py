@@ -272,7 +272,6 @@ class Simulation:
                 counter = counters[(cur, nxt)] = LinkCounters()
             if nxt in flags or not nodes[nxt].alive:
                 counter.attempts += 1
-                counter.lost += 1
                 dropped += 1
                 events.append(
                     Event(t, "drop", node=nxt, source=pkt.route[0],

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .jammers import RadioSample, signal_to_noise_ratio
 from .network import Network, hop_counts
 
 _V = TypeVar("_V")
-_W = TypeVar("_W")
 
 
 def normalize_metric(actual: float, total: float) -> float:
@@ -99,11 +98,11 @@ def geometric_mean(values: list[float]) -> float:
 
 @dataclass
 class LinkCounters:
-    """Rolling transmission bookkeeping for one directed link."""
+    """Rolling transmission bookkeeping for one directed link; every attempt
+    not delivered was lost."""
 
     attempts: int = 0
     delivered: int = 0
-    lost: int = 0
 
 
 @dataclass(frozen=True)
@@ -165,14 +164,12 @@ def _measure(
 
     if counter is None or counter.attempts == 0:
         delivery = 1.0
-        loss = 1.0
     else:
         delivery = normalize_metric(
             float(counter.attempts - counter.delivered), float(counter.attempts)
         )
-        loss = normalize_metric(float(counter.lost), float(counter.attempts))
 
-    return LinkMetrics(hop, energy, snr_factor, snr_factor, delivery, loss)
+    return LinkMetrics(hop, energy, snr_factor, snr_factor, delivery, delivery)
 
 
 def measure_link(
@@ -190,8 +187,8 @@ def measure_link(
     The hop factor reflects how close j sits to the processing element over
     paths avoiding flagged nodes; unreachable means 0. A flagged endpoint
     clamps the SNR factor to 0, which kills the link outright. The bit-error
-    factor mirrors the SNR factor. Delivery/loss default to 1 while counters
-    are empty.
+    factor mirrors the SNR factor, and the loss factor the delivery factor,
+    since an attempt not delivered is lost. Both are 1 while counters are empty.
     """
     if (i, j) not in net.links:
         raise ValueError(f"no link between {i} and {j}")
@@ -256,16 +253,6 @@ class LinkTable(Mapping[tuple[int, int], _V]):
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._links))
 
-    def map(self, fn: Callable[[_V], _W]) -> "LinkTable[_W]":
-        """fn of every entry, over the same links and flags."""
-        return LinkTable(
-            self._links,
-            self._flagged,
-            {j: fn(v) for j, v in self._plain.items()},
-            {j: fn(v) for j, v in self._blocked.items()},
-            {link: fn(v) for link, v in self._own.items()},
-        )
-
 
 def build_link_metrics(
     net: Network,
@@ -311,5 +298,12 @@ def build_link_metrics(
 
 
 def quality_from_metrics(table: LinkTable[LinkMetrics]) -> LinkTable[float]:
-    """Quality of every link in the table, scored once per entry."""
-    return table.map(link_quality)
+    """Quality of every link in the table, scored once per entry, over the same
+    links and flags."""
+    return LinkTable(
+        table._links,
+        table._flagged,
+        {j: link_quality(m) for j, m in table._plain.items()},
+        {j: link_quality(m) for j, m in table._blocked.items()},
+        {link: link_quality(m) for link, m in table._own.items()},
+    )

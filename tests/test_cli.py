@@ -73,6 +73,18 @@ class TestSeedRange:
             with pytest.raises(ValueError, match=f"^--seeds: at most {MAX_SEEDS} seeds"):
                 _parse_seed_range(text)
 
+    def test_every_error_names_the_flag(self, config_file, monkeypatch, capsys):
+        for bad in ("5", "3..1", "-1..2", "a..b", "1..", "..2", "1..2..3"):
+            with pytest.raises(ValueError, match="^--seeds: "):
+                _parse_seed_range(bad)
+        monkeypatch.setattr(cli, "_run_batch", None)  # nothing may run
+        for command in ("sweep", "compare"):
+            code = main([command, "--config", str(config_file), "--seeds", "a..b"])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "error: --seeds: expected <a>..<b>, got 'a..b'\n"
+            )
+
     def test_too_many_seeds_is_config_error(self, config_file, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_run_batch", None)  # nothing may run
         for command in ("sweep", "compare"):

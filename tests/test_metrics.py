@@ -230,7 +230,7 @@ class TestMeasureLink:
 
     def test_counters_feed_delivery_and_loss(self):
         net = line4()
-        counters = {(0, 1): LinkCounters(attempts=10, delivered=6, lost=4)}
+        counters = {(0, 1): LinkCounters(attempts=10, delivered=6)}
         m = measure_link(net, clean_samples(net), 0, 1, counters=counters)
         assert m.delivery == pytest.approx(0.6, abs=1e-12)
         assert m.loss == pytest.approx(0.6, abs=1e-12)

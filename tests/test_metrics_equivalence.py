@@ -30,11 +30,10 @@ from antjam.metrics import (
 )
 from antjam.network import build_network
 
-# attempts, delivered, lost: empty, partial and full delivery, plus a
-# counter whose delivered and lost do not add up to its attempts
-COUNTERS = [(0, 0, 0), (3, 1, 2), (4, 4, 0), (2, 0, 2), (5, 2, 1)]
-# delivered > attempts and lost > attempts: each raises its own text
-BAD_COUNTERS = [LinkCounters(2, 3, 0), LinkCounters(2, 0, 5)]
+# attempts, delivered: empty, partial, full and no delivery
+COUNTERS = [(0, 0), (3, 1), (4, 4), (2, 0)]
+# delivered > attempts, each by its own margin, so each raises its own text
+BAD_COUNTERS = [LinkCounters(2, 3), LinkCounters(1, 5)]
 
 
 def counters_of(rng, links, bad):
@@ -43,7 +42,7 @@ def counters_of(rng, links, bad):
         for link in links
         if rng.random() < 0.3
     }
-    counters[(98, 99)] = LinkCounters(1, 1, 0)  # a key that is no link
+    counters[(98, 99)] = LinkCounters(1, 1)  # a key that is no link
     if bad:
         counters.update(zip(rng.sample(links, min(2, len(links))), BAD_COUNTERS))
     items = list(counters.items())
@@ -148,7 +147,7 @@ def test_matches_reference_metrics(case):
 
 @pytest.mark.parametrize(
     "counters",
-    [{(2, 1): LinkCounters(attempts=2, delivered=3, lost=0)}],
+    [{(2, 1): LinkCounters(attempts=2, delivered=3)}],
     ids=["delivered-over-attempts"],
 )
 def test_invalid_entries_raise_like_measure_link(counters):
@@ -171,7 +170,7 @@ def test_a_link_that_dies_after_the_build_misses_with_its_counter():
     net = build_network([((0.0, 0.0), 1.0, 1.5), ((1.0, 0.0), 1.0, 1.5),
                          ((2.0, 0.0), 1.0, 1.5)], 2)
     samples = {i: RadioSample(5.0, 1.0) for i in net.nodes}
-    metrics = build_link_metrics(net, samples, {(0, 1): LinkCounters(2, 1, 1)})
+    metrics = build_link_metrics(net, samples, {(0, 1): LinkCounters(2, 1)})
     quality = quality_from_metrics(metrics)
     assert metrics[(0, 1)].delivery == 0.5
     assert net.drain_energy(1, 1.0)  # node 1 dies, and every link with it

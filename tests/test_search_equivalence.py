@@ -15,19 +15,34 @@ final pheromone.
 
 An explorer's hop draws from the walker's weights in one pass; it must pick
 the node, dead-end or raise exactly as the reference's normalize-then-draw
-does. Every tour the walker returns is scored from the rows it read; its
-quality and length must equal tour_quality and the left-to-right sum of the
-link distances along its path.
+does. The public rule functions, transition_probabilities and
+choose_next_exploiter, weigh their candidates with the walker's code; on
+generated candidates they must give the reference's probabilities, pick or
+DeadEnd bit for bit, and a candidate missing from any of their three link
+mappings must raise KeyError. Every tour the walker returns is scored from
+the rows it read; its quality and length must equal tour_quality and the
+left-to-right sum of the link distances along its path.
 """
 
 from datetime import timedelta
 from random import Random
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_search
-from antjam.ants import Colony, DeadEnd, SearchParams, _normalize, _Walk, run_search
+from antjam.ants import (
+    Colony,
+    DeadEnd,
+    PheromoneTable,
+    SearchParams,
+    _normalize,
+    _Walk,
+    choose_next_exploiter,
+    run_search,
+    transition_probabilities,
+)
 from antjam.jammers import RadioSample
 from antjam.metrics import (
     LinkCounters,
@@ -119,9 +134,9 @@ def table_cases(draw):
         for i in range(count)
         if rng.random() < 0.9
     }
-    # attempts, delivered, lost: empty, partial, full and no delivery
+    # attempts, delivered: empty, partial, full and no delivery
     counters = {
-        link: LinkCounters(*rng.choice([(0, 0, 0), (3, 1, 2), (4, 4, 0), (2, 0, 2)]))
+        link: LinkCounters(*rng.choice([(0, 0), (3, 1), (4, 4), (2, 0)]))
         for link in links
         if rng.random() < draw(st.sampled_from([0.0, 0.3, 0.8]))
     }
@@ -195,6 +210,71 @@ def test_explorer_hop_matches_reference(weights, r, visited):
     got = hop_outcome(lambda: walker_hop(weights, FixedDraw(r), masked))
     want = hop_outcome(lambda: reference_hop(weights, r, set(masked)))
     assert got == want
+
+
+RULES = [
+    (transition_probabilities, reference_search.transition_probabilities),
+    (choose_next_exploiter, reference_search.choose_next_exploiter),
+]
+
+
+@st.composite
+def rule_cases(draw):
+    """Candidates out of node 0 with their pheromone, quality and distance,
+    and knobs. Pheromone is a dict or a sparse PheromoneTable whose missing
+    links read its untouched value."""
+    candidates = draw(st.lists(st.integers(1, 20), max_size=8, unique=True))
+    pheromone_value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    pheromone = {(0, u): draw(pheromone_value) for u in candidates}
+    quality = {
+        (0, u): draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) for u in candidates
+    }
+    distance = {(0, u): draw(st.floats(0.1, 100.0)) for u in candidates}
+    if draw(st.booleans()):
+        pheromone = PheromoneTable(
+            {link: v for link, v in pheromone.items() if draw(st.booleans())}
+        )
+        pheromone.untouched = draw(pheromone_value)
+    exponent = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 3.0))
+    params = SearchParams(alpha=draw(exponent), beta=draw(exponent))
+    return candidates, pheromone, quality, distance, params
+
+
+def rule_outcome(rule, *args):
+    try:
+        got = rule(*args)
+    except DeadEnd as exc:
+        return ("DeadEnd", str(exc))
+    return ("result", list(got.items()) if isinstance(got, dict) else got)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=1))
+@given(rule_cases())
+@example((  # dead links weigh zero even with both exponents 0
+    [2, 1],
+    {(0, 1): 0.0, (0, 2): 3.0},
+    {(0, 1): 1.0, (0, 2): 0.0},
+    {(0, 1): 1.0, (0, 2): 2.0},
+    SearchParams(alpha=0.0, beta=0.0),
+))
+def test_rule_functions_match_reference(case):
+    for rule, reference in RULES:
+        got = rule_outcome(rule, 0, *case)
+        assert got == rule_outcome(reference, 0, *case)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=1))
+@given(rule_cases().filter(lambda case: case[0]), st.integers(0, 2), st.data())
+def test_a_candidate_missing_from_a_mapping_raises_key_error(case, which, data):
+    candidates, pheromone, quality, distance, params = case
+    pheromone = {(0, u): pheromone[(0, u)] for u in candidates}
+    mappings = [pheromone, dict(quality), dict(distance)]
+    del mappings[which][(0, data.draw(st.sampled_from(candidates)))]
+    if which == 0 and data.draw(st.booleans()):
+        mappings[0] = PheromoneTable(mappings[0])  # untouched None: links are fixed
+    for rule, _ in RULES:
+        with pytest.raises(KeyError):
+            rule(0, candidates, *mappings, params)
 
 
 def checked_tours(net, source, dest, params, quality, seed):
