@@ -183,9 +183,10 @@ def transition_probabilities(
 
     Weight of candidate u is (pheromone * quality)^alpha * (1/distance)^beta,
     0 when pheromone * quality is 0; each candidate link must be in all three
-    mappings. Raises DeadEnd when every weight is zero.
+    mappings, and a repeated candidate counts once. Raises DeadEnd when every
+    weight is zero.
     """
-    ordered = sorted(candidates)
+    ordered = sorted(set(candidates))
     probs = _normalize(_row_weights(node, ordered, pheromone, quality, distance, params))
     if probs is None:
         raise DeadEnd(f"no live candidate out of node {node}")
@@ -202,7 +203,7 @@ def choose_next_exploiter(
 ) -> int:
     """Greedy next hop: the best-weighted candidate, lowest id on ties; each
     candidate link must be in all three mappings."""
-    ordered = sorted(candidates)
+    ordered = sorted(set(candidates))
     k = _argmax(_row_weights(node, ordered, pheromone, quality, distance, params))
     if k is None:
         raise DeadEnd(f"no live candidate out of node {node}")
@@ -470,7 +471,6 @@ def run_search(
         # changes only in the batch update, so no walk sees another's fold.
         walk.new_round()
         succeeded: list[TourRecord] = []
-        scores: list[float] = []
         for ant in ants:
             # only an explorer draws; an exploiter's substream would go unread
             explorer = ant.colony is Colony.EXPLORER
@@ -485,9 +485,9 @@ def run_search(
             if best is None or score > best_score:
                 best, best_score = record, score
             succeeded.append(record)
-            scores.append(score)
 
         global_pheromone_update(pheromone, succeeded, params)
+        scores = [record.score for record in succeeded]
         stats.append(
             IterationStats(
                 iteration=iteration,

@@ -294,9 +294,7 @@ class Simulation:
         # 5. sources emit onto their installed routes
         for src in sorted(st.routes):
             route = st.routes[src]
-            if route is None or len(route) < 2:
-                continue
-            if src in flags or not nodes[src].alive:
+            if route is None or src in flags or not nodes[src].alive:
                 continue
             acc = st.emit_acc[src] + cfg.rate
             while acc >= 1.0:

@@ -11,7 +11,7 @@ activity on the previous step.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -148,19 +148,6 @@ def jammer_emission(jammer: Jammer, t: int, channel_active: bool, rng: Random) -
     return jammer.power if jammer._phase == "jam" else 0.0
 
 
-def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
-    """Path gain from `position` to every node, cached on the network."""
-    key = (position, radio.d0, radio.gamma)
-    row = net._gain_rows.get(key)
-    if row is None:
-        row = {
-            i: path_gain(euclidean_distance(position, n.position), radio.d0, radio.gamma)
-            for i, n in net.nodes.items()
-        }
-        net._gain_rows[key] = row
-    return row
-
-
 def _emissions(
     jammers: Iterable[Jammer],
     t: int,
@@ -219,13 +206,26 @@ def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | 
     return radio.tx_power * path_gain(d, radio.d0, radio.gamma)
 
 
-def _memo(net: Network, name: str, key: tuple, build: Callable[[], _T]) -> _T:
+def _memo(net: Network, name: Hashable, key: tuple, build: Callable[[], _T]) -> _T:
     """The value kept under `name` on the network if it was built under an
     equal key; otherwise build(), kept under `key`."""
     hit = net._radio_memo.get(name)
     if hit is None or hit[0] != key:
         hit = net._radio_memo[name] = (key, build())
     return hit[1]
+
+
+def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
+    """Path gain from `position` to every node. Positions never move, so the
+    row is kept per position and keyed only on d0 and gamma."""
+
+    def build() -> dict[int, float]:
+        return {
+            i: path_gain(euclidean_distance(position, n.position), radio.d0, radio.gamma)
+            for i, n in net.nodes.items()
+        }
+
+    return _memo(net, ("gain", position), (radio.d0, radio.gamma), build)
 
 
 def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, list[tuple[int, float]]]:
@@ -300,14 +300,9 @@ def sample_radio(
     return _memo(net, "samples", (base, emissions), build)
 
 
-def jammed_from_samples(samples: Mapping[int, RadioSample]) -> frozenset[int]:
-    """Nodes whose reference reception is drowned out this step (before debounce).
-
-    A picture from sample_radio carries its flags; any other mapping is
-    wrapped in a picture first.
-    """
-    if not isinstance(samples, RadioPicture):
-        samples = RadioPicture(samples)
+def jammed_from_samples(samples: RadioPicture) -> frozenset[int]:
+    """Nodes whose reference reception is drowned out this step (before
+    debounce): the flags sample_radio's picture carries."""
     return samples.flagged
 
 

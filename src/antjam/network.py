@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, KeysView, Mapping, Sequence
+from typing import Hashable, Iterable, KeysView, Mapping, Sequence
 
 Position = tuple[float, float]
 
@@ -52,13 +52,13 @@ class Network:
     those keys. Dead nodes keep their Node record but lose every incident
     link, which removes them from all neighborhoods.
 
-    Positions never move after the build, so radio geometry is cached per
-    network: each node's nearest-live-neighbor distance (dropped around a
-    node when it dies) and the jammer-to-node path-gain rows that jammers.py
-    keeps in `_gain_rows` (never stale, since only positions enter them).
-    jammers.py also keeps its last radio picture in `_radio_memo`, keyed in
-    part on the link count, which stands for the link set since links are
-    only ever removed. A pickled or copied network carries that picture.
+    Positions never move after the build, so each node's nearest-live-neighbor
+    distance is cached here (dropped around a node when it dies). jammers.py
+    keeps its radio caches in one store, `_radio_memo`: the path-gain row of
+    each jammer position, and the last hearing set, picture and deceptive
+    victims, keyed in part on the link count, which stands for the link set
+    since links are only ever removed. A pickled or copied network carries
+    that store.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -75,8 +75,7 @@ class Network:
         self.distance: dict[tuple[int, int], float] = {}
         self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
         self._nearest: dict[int, float | None] = {}
-        self._gain_rows: dict[tuple[Position, float, float], dict[int, float]] = {}
-        self._radio_memo: dict[str, tuple[tuple, object]] = {}
+        self._radio_memo: dict[Hashable, tuple[tuple, object]] = {}
         self._build_links()
 
     def _build_links(self) -> None:

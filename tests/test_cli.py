@@ -347,10 +347,11 @@ def test_module_invocation_matches_library(config_file):
     assert proc.stdout == expected
 
 
-def test_sweep_output_does_not_depend_on_hash_seed(config_file):
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_output_does_not_depend_on_hash_seed(config_file, command):
     outputs = [
         subprocess.run(
-            [sys.executable, "-m", "antjam", "sweep",
+            [sys.executable, "-m", "antjam", command,
              "--config", str(config_file), "--seeds", "1..3"],
             capture_output=True,
             env={**os.environ, "PYTHONHASHSEED": hash_seed},

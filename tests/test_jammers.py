@@ -324,9 +324,3 @@ class TestSampleRadio:
         assert net.drain_energy(2, 10.0)  # a linked node dies
         after = sample_radio(net, [j], 2, radio, Random(0))
         assert after is not first and set(after) == {0, 1}
-
-    def test_flags_of_another_mapping_follow_its_contents(self):
-        samples = {0: RadioSample(1.0, 2.0)}
-        assert jammed_from_samples(samples) == {0}
-        samples[0] = RadioSample(2.0, 1.0)
-        assert jammed_from_samples(samples) == set()

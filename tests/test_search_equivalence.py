@@ -220,10 +220,10 @@ RULES = [
 
 @st.composite
 def rule_cases(draw):
-    """Candidates out of node 0 with their pheromone, quality and distance,
-    and knobs. Pheromone is a dict or a sparse PheromoneTable whose missing
-    links read its untouched value."""
-    candidates = draw(st.lists(st.integers(1, 20), max_size=8, unique=True))
+    """Candidates out of node 0, which may repeat, with their pheromone,
+    quality and distance, and knobs. Pheromone is a dict or a sparse
+    PheromoneTable whose missing links read its untouched value."""
+    candidates = draw(st.lists(st.integers(1, 20), max_size=8))
     pheromone_value = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
     pheromone = {(0, u): draw(pheromone_value) for u in candidates}
     quality = {
@@ -256,6 +256,13 @@ def rule_outcome(rule, *args):
     {(0, 1): 1.0, (0, 2): 0.0},
     {(0, 1): 1.0, (0, 2): 2.0},
     SearchParams(alpha=0.0, beta=0.0),
+))
+@example((  # a repeated candidate counts once
+    [1, 1, 2],
+    {(0, 1): 1.0, (0, 2): 1.0},
+    {(0, 1): 1.0, (0, 2): 1.0},
+    {(0, 1): 1.0, (0, 2): 1.0},
+    SearchParams(),
 ))
 def test_rule_functions_match_reference(case):
     for rule, reference in RULES:
