@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .config import ConfigError, ScenarioConfig, parse_config
-from .engine import run_scenario
+from .engine import Simulation, run_scenario
 from .reporting import RunRow, compare_csv_bytes, emit_report, sweep_csv_bytes, write_bytes
 
 EXIT_OK = 0
@@ -58,13 +60,25 @@ def _run_row(config: ScenarioConfig, seed: int) -> RunRow:
     return RunRow.of(run_scenario(config, seed))
 
 
-def _run_batch(configs: list[ScenarioConfig], seeds: list[int]) -> list[RunRow]:
-    """The row of each (config, seed) job, in order; only rows leave a worker."""
+def _run_pair(config: ScenarioConfig, seed: int) -> tuple[RunRow, RunRow]:
+    """One seed's (reroute on, reroute off) rows, both from one setup."""
+    sim = Simulation(dataclasses.replace(config, reroute=True), seed)
+    setup = pickle.dumps(sim)  # setup reads no `reroute`: the baseline starts here
+    enabled = RunRow.of(sim.run())
+    del sim  # the rerouting run is released before its copy is loaded
+    sim = pickle.loads(setup)
+    sim.config = dataclasses.replace(config, reroute=False)
+    return enabled, RunRow.of(sim.run())
+
+
+def _run_batch(job, config: ScenarioConfig, seeds: list[int]) -> list:
+    """job(config, seed) for each seed, in order; only its rows leave a worker."""
     workers = min(_worker_count(), len(seeds))
+    run = partial(job, config)
     if workers == 1:
-        return list(map(_run_row, configs, seeds))
+        return list(map(run, seeds))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_row, configs, seeds))
+        return list(pool.map(run, seeds))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,17 +126,13 @@ def main(argv: list[str] | None = None) -> int:
             fmt = args.format or config.output_format
             destination = args.out or config.output_path
             emit_report(report, fmt, destination)
-        elif args.command == "sweep":
-            seeds = _parse_seed_range(args.seeds)
-            rows = _run_batch([config] * len(seeds), seeds)
-            write_bytes(sweep_csv_bytes(rows), args.out or config.output_path)
         else:
             seeds = _parse_seed_range(args.seeds)
-            # one batch: each seed's (reroute on, reroute off) pair, in seed order
-            both = [dataclasses.replace(config, reroute=on) for on in (True, False)]
-            rows = _run_batch(both * len(seeds), [s for s in seeds for _ in both])
-            pairs = list(zip(rows[::2], rows[1::2]))
-            write_bytes(compare_csv_bytes(pairs), args.out or config.output_path)
+            if args.command == "sweep":
+                payload = sweep_csv_bytes(_run_batch(_run_row, config, seeds))
+            else:
+                payload = compare_csv_bytes(_run_batch(_run_pair, config, seeds))
+            write_bytes(payload, args.out or config.output_path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

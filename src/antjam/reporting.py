@@ -129,13 +129,16 @@ def report_json_bytes(report: RunReport) -> bytes:
     return out.getvalue()
 
 
-def _run_row(row: RunRow) -> str:
-    return ",".join(fmt6(v) if isinstance(v, float) else str(v) for v in row)
+def _csv(lines: Sequence[Sequence[object]]) -> bytes:
+    """CSV lines, floats through fmt6 and every other value through str."""
+    return "".join(
+        ",".join(fmt6(v) if isinstance(v, float) else str(v) for v in line) + "\n"
+        for line in lines
+    ).encode("utf-8")
 
 
 def report_csv_bytes(report: RunReport | RunRow) -> bytes:
-    lines = [",".join(SWEEP_COLUMNS), _run_row(RunRow.of(report))]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv([SWEEP_COLUMNS, RunRow.of(report)])
 
 
 def sweep_csv_bytes(reports: Sequence[RunReport | RunRow]) -> bytes:
@@ -143,15 +146,10 @@ def sweep_csv_bytes(reports: Sequence[RunReport | RunRow]) -> bytes:
     if not reports:
         raise ValueError("no reports to summarize")
     rows = [RunRow.of(report) for report in reports]
-    lines = [",".join(SWEEP_COLUMNS)] + [_run_row(row) for row in rows]
     columns = [[float(v) for v in column] for column in list(zip(*rows))[1:]]
-    for label, pick in (
-        ("mean", lambda vs: sum(vs) / len(vs)),
-        ("min", min),
-        ("max", max),
-    ):
-        lines.append(",".join([label] + [fmt6(pick(vs)) for vs in columns]))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    mean = ["mean"] + [sum(vs) / len(vs) for vs in columns]
+    trailer = [mean, ["min", *map(min, columns)], ["max", *map(max, columns)]]
+    return _csv([SWEEP_COLUMNS, *rows, *trailer])
 
 
 def compare_csv_bytes(
@@ -160,24 +158,13 @@ def compare_csv_bytes(
     """Per-seed paired rows; each pair is (reroute enabled, baseline)."""
     if not pairs:
         raise ValueError("no report pairs to summarize")
-    lines = [",".join(COMPARE_COLUMNS)]
-    for enabled, baseline in pairs:
-        if enabled.seed != baseline.seed:
-            raise ValueError("paired reports must share a seed")
-        lines.append(
-            ",".join(
-                [
-                    str(enabled.seed),
-                    fmt6(enabled.pdr),
-                    fmt6(baseline.pdr),
-                    fmt6(enabled.pdr - baseline.pdr),
-                    fmt6(enabled.mean_delay),
-                    fmt6(baseline.mean_delay),
-                    str(enabled.reroutes),
-                ]
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    if any(on.seed != off.seed for on, off in pairs):
+        raise ValueError("paired reports must share a seed")
+    return _csv([COMPARE_COLUMNS] + [
+        (on.seed, on.pdr, off.pdr, on.pdr - off.pdr,
+         on.mean_delay, off.mean_delay, on.reroutes)
+        for on, off in pairs
+    ])
 
 
 def emit_report(report: RunReport, fmt: str, destination: str | None = None) -> int:

@@ -195,11 +195,16 @@ class TestExplorerChoice:
     def test_rounding_fallback_skips_zero_probability(self):
         # the running sum of w / total stops short of the largest possible
         # draw; the last candidate with a positive quotient wins, not one
-        # whose weight is zero or whose quotient underflows to zero
+        # whose weight is zero or whose quotient underflows to zero. The
+        # sum is added up as the walker adds it: sum() adds floats with
+        # compensation from Python 3.12 on, and reaches the draw here
         top = FixedDraw(1.0 - 2.0**-53)
         for weights in ([0.7, 2.0, 1.0, 0.0], [0.7, 2.0, 1.0, 5e-324]):
             total = sum(weights)
-            assert sum(w / total for w in weights) < top.r
+            acc = 0.0
+            for w in weights:
+                acc += w / total
+            assert acc < top.r
             assert walker_hop(weights, top) == 2
 
 

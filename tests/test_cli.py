@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from textwrap import dedent
 
 from antjam import cli, network
@@ -15,10 +16,12 @@ from antjam.cli import (
     main,
 )
 from antjam.config import parse_config
-from antjam.engine import run_scenario
+from antjam.engine import Simulation, run_scenario
 from antjam.reporting import COMPARE_COLUMNS, SWEEP_COLUMNS, RunRow, report_json_bytes
 
 import pytest
+
+from test_report_corpus import CORPUS_SIZE, corpus
 
 # two-hop detour topology: jamming the short arm at step 2 forces traffic
 # onto the long one, so rerouting visibly beats the fixed-route baseline
@@ -171,12 +174,31 @@ class TestSweepCommand:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+def separate_runs(config, seed):
+    """A seed's (reroute on, reroute off) rows, each from a setup of its own."""
+    return tuple(
+        RunRow.of(run_scenario(replace(config, reroute=on), seed))
+        for on in (True, False)
+    )
+
+
 class TestBatch:
     def test_batch_returns_rows_not_reports(self):
         config = parse_config(DIAMOND_CFG)
-        rows = cli._run_batch([config, config], [1, 2])
+        rows = cli._run_batch(cli._run_row, config, [1, 2])
         assert rows == [RunRow.of(run_scenario(config, seed)) for seed in (1, 2)]
         assert all(type(row) is RunRow for row in rows)
+
+    def test_compare_batch_returns_row_pairs_not_reports(self):
+        config = parse_config(DIAMOND_CFG)
+        pairs = cli._run_batch(cli._run_pair, config, [1, 2])
+        assert pairs == [separate_runs(config, seed) for seed in (1, 2)]
+        assert all(type(row) is RunRow for pair in pairs for row in pair)
+
+    @pytest.mark.parametrize("k", range(CORPUS_SIZE))
+    def test_pair_equals_two_separate_runs(self, k):
+        config, seed = corpus()[k]
+        assert cli._run_pair(config, seed) == separate_runs(config, seed)
 
 
 class TestWorkerCount:
@@ -232,6 +254,21 @@ class TestCompareCommand:
         main(["compare", "--config", str(config_file), "--seeds", "0..2",
               "--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_sets_each_seed_up_once(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("ANTJAM_WORKERS", "1")
+        built = []
+        init = Simulation.__init__
+
+        def counted_init(sim, config, seed):
+            built.append(seed)
+            init(sim, config, seed)
+
+        monkeypatch.setattr(Simulation, "__init__", counted_init)
+        code = main(["compare", "--config", str(config_file), "--seeds", "0..2",
+                     "--out", str(tmp_path / "compare.csv")])
+        assert code == EXIT_OK
+        assert built == [0, 1, 2]
 
 
 class TestExitCodes:
