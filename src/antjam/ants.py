@@ -21,7 +21,7 @@ from enum import Enum
 from random import Random
 from typing import Mapping, Sequence
 
-from .metrics import TourRecord, geometric_mean
+from .metrics import LinkTable, TourRecord, geometric_mean
 from .network import Network
 
 
@@ -226,7 +226,9 @@ class _Walk:
 
     A node's row holds its live neighbors with quality > 0 in id order, with
     each link's (1/distance)^beta, quality and distance in tuples sized to fit;
-    it is built when an ant first reaches the node. The round's weights swap in
+    it is built when an ant first reaches the node, into `rows`. A given rows
+    dict may hold rows built earlier, so it must come from the same live link
+    set, the same quality table and the same beta. The round's weights swap in
     the transition weights under the current pheromone for (1/distance)^beta,
     on the first visit in a round, and hold for the rest of it: pheromone only
     changes between rounds. new_round drops them, and must follow every update.
@@ -241,13 +243,14 @@ class _Walk:
         quality: Mapping[tuple[int, int], float],
         pheromone: PheromoneTable,
         params: SearchParams,
+        rows: dict[int, _Row] | None = None,
     ):
         self.net = net
         self.source, self.dest = source, dest
         self.quality = quality
         self.pheromone = pheromone
         self.alpha, self.beta = params.alpha, params.beta
-        self.rows: dict[int, _Row] = {}
+        self.rows: dict[int, _Row] = {} if rows is None else rows
         self.weights: dict[int, _Row] = {}
         # the first exploiter's walk this round: path and record
         self.greedy: tuple[tuple[int, ...], TourRecord | None] | None = None
@@ -257,10 +260,14 @@ class _Walk:
         self.greedy = None
 
     def _row(self, node: int) -> _Row:
-        quality_of, distance, beta = self.quality.get, self.net.distance, self.beta
+        quality, distance, beta = self.quality, self.net.distance, self.beta
+        neighbors = sorted(self.net.neighbors(node))
+        if isinstance(quality, LinkTable):  # one read of the node's entries
+            values = quality.row(node, neighbors)
+        else:
+            values = [quality.get((node, u), 0.0) for u in neighbors]
         ids, quals = [], []
-        for u in sorted(self.net.neighbors(node)):
-            q = quality_of((node, u), 0.0)
+        for u, q in zip(neighbors, values):
             if q > 0.0:
                 ids.append(u)
                 quals.append(q)
@@ -438,6 +445,7 @@ def run_search(
     params: SearchParams,
     rng: Random,
     quality: Mapping[tuple[int, int], float] | None = None,
+    rows: dict[int, _Row] | None = None,
 ) -> SearchResult:
     """Run the full two-colony search and return the best tour found.
 
@@ -449,7 +457,10 @@ def run_search(
     every other link reads its shared untouched value.
 
     net and quality must not change while the search runs: each node's
-    candidate row is read from them once, when an ant first reaches it.
+    candidate row is read from them once, when an ant first reaches it, into
+    rows. rows=None starts an empty dict. A caller's dict lets the searches
+    of one batch share their rows, so it must come from the same live link
+    set, the same quality and the same params.beta as the rows it holds.
     """
     _check_endpoints(net, source, dest)
     if quality is None:
@@ -457,7 +468,7 @@ def run_search(
 
     pheromone = PheromoneTable()
     pheromone.untouched = params.phi0
-    walk = _Walk(net, source, dest, quality, pheromone, params)
+    walk = _Walk(net, source, dest, quality, pheromone, params, rows)
     ants = init_colonies(params, rng)
     token = rng.getrandbits(64)
     best: TourRecord | None = None

@@ -174,11 +174,15 @@ class Simulation:
         drained it) gets no search, nor does any source while the PE is dead
         (a deceptive jammer's fake traffic can drain it). The table is built
         at the first search, so a batch that searches nothing builds none.
+        The batch's searches share one dict of candidate rows, built from the
+        table and started anew whenever a node dies: links are only ever
+        removed, so the link count stands for the link set.
         """
         st = self.state
         net = self.net
         step = st.time - 1  # -1 for the initial installation
-        quality = None
+        quality = rows = None
+        rows_links = -1  # the link count the rows were built over
         events: list[Event] = []
         for src in sources:
             old = st.routes[src]
@@ -192,8 +196,13 @@ class Simulation:
                         net, st.last_samples, counters=st.counters,
                         totals=self.totals, flagged=frozenset(st.flags),
                     ))
+                if len(net.links) != rows_links:
+                    rows, rows_links = {}, len(net.links)
                 rng = Random(f"{self.seed}/search/{len(st.searches)}")
-                result = run_search(net, src, net.pe_id, self.config.search, rng, quality)
+                # rows by position: a wrapper of run_search may take no keywords
+                result = run_search(
+                    net, src, net.pe_id, self.config.search, rng, quality, rows
+                )
                 for node_id, hops in sorted(result.transmit_counts.items()):
                     self._drain(node_id, hops * self.config.ant_energy_cost)
                 best = result.best

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .jammers import RadioSample, signal_to_noise_ratio
 from .network import Network, hop_counts
@@ -210,7 +210,8 @@ class LinkTable(Mapping[tuple[int, int], _V]):
 
     A link (i, j) in the given link set, read live, reads its own entry when
     it has one (a link with a counter), else j's flagged-source entry when i
-    is flagged, else j's plain entry. Iteration is in ascending (i, j) order.
+    is flagged, else j's plain entry. Own entries are held per source, under
+    i and then j. Iteration is in ascending (i, j) order.
     """
 
     __slots__ = ("_links", "_flagged", "_plain", "_blocked", "_own")
@@ -221,7 +222,7 @@ class LinkTable(Mapping[tuple[int, int], _V]):
         flagged: frozenset[int],
         plain: dict[int, _V],
         blocked: dict[int, _V],
-        own: dict[tuple[int, int], _V],
+        own: dict[int, dict[int, _V]],
     ):
         self._links = links
         self._flagged = flagged
@@ -229,14 +230,20 @@ class LinkTable(Mapping[tuple[int, int], _V]):
         self._blocked = blocked
         self._own = own
 
+    def row(self, i: int, ids: Iterable[int]) -> list[_V]:
+        """The values of links (i, j) for j in ids, in order, each of which
+        must be a live link: the rule is applied once for the whole row."""
+        base = self._blocked if i in self._flagged else self._plain
+        own = self._own.get(i)
+        if own is None:
+            return [base[j] for j in ids]
+        return [own[j] if j in own else base[j] for j in ids]
+
     def get(self, link: object, default=None):
         if link not in self._links:
             return default
-        value = self._own.get(link)
-        if value is not None:
-            return value
         i, j = link
-        return (self._blocked if i in self._flagged else self._plain)[j]
+        return self.row(i, (j,))[0]
 
     def __getitem__(self, link: tuple[int, int]) -> _V:
         value = self.get(link, _MISSING)
@@ -287,13 +294,12 @@ def build_link_metrics(
         j: _measure(net, samples, j, True, None, totals, flagged, hops)
         for j in set().union(*map(net.neighbors, flagged_sources))
     }
-    own = {
-        link: _measure(
-            net, samples, link[1], link[0] in flagged, counter, totals, flagged, hops
-        )
-        for link, counter in sorted((counters or {}).items())
-        if link in net.distance
-    }
+    own: dict[int, dict[int, LinkMetrics]] = {}
+    for (i, j), counter in sorted((counters or {}).items()):
+        if (i, j) in net.distance:
+            own.setdefault(i, {})[j] = _measure(
+                net, samples, j, i in flagged, counter, totals, flagged, hops
+            )
     return LinkTable(net.distance, flagged, plain, blocked, own)
 
 
@@ -305,5 +311,6 @@ def quality_from_metrics(table: LinkTable[LinkMetrics]) -> LinkTable[float]:
         table._flagged,
         {j: link_quality(m) for j, m in table._plain.items()},
         {j: link_quality(m) for j, m in table._blocked.items()},
-        {link: link_quality(m) for link, m in table._own.items()},
+        {i: {j: link_quality(m) for j, m in row.items()}
+         for i, row in table._own.items()},
     )

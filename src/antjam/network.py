@@ -18,6 +18,12 @@ NodeSpec = tuple[Position, float, float]
 # not bound links, since a range covering the field links every pair.
 MAX_LINKS = 2_000_000
 
+# Attempt budget of a connected random placement: at most MAX_PLACEMENT_TRIES
+# attempts, and at most MAX_PLACEMENT_DRAWS nodes drawn over all of them, so
+# 200 attempts up to 5,000 nodes, shrinking to 10 at 100,000.
+MAX_PLACEMENT_TRIES = 200
+MAX_PLACEMENT_DRAWS = 1_000_000
+
 
 def euclidean_distance(a: Position, b: Position) -> float:
     """Distance between two points in the plane."""
@@ -269,18 +275,21 @@ def random_geometric_network(
     rng: Random,
     pe_index: int = 0,
     connected: bool = False,
-    max_tries: int = 200,
+    max_tries: int | None = None,
 ) -> Network:
     """Uniform random placement over a width x height rectangle.
 
     With connected=True, placement is redrawn until every node can reach the
-    processing element; ValueError after max_tries attempts. Two nodes drawn
-    at one point raise ValueError from build_network.
+    processing element; ValueError after max_tries attempts, which default
+    to placement_tries(count). Two nodes drawn at one point raise ValueError
+    from build_network.
     """
     if count < 2:
         raise ValueError("need at least two nodes")
     if width <= 0 or height <= 0:
         raise ValueError("area dimensions must be positive")
+    if max_tries is None:
+        max_tries = placement_tries(count)
     for _ in range(max_tries):
         positions = [
             (rng.uniform(0.0, width), rng.uniform(0.0, height))
@@ -292,6 +301,12 @@ def random_geometric_network(
         if not connected or len(hop_counts(net, net.pe_id)) == count:
             return net
     raise ValueError(
-        f"no connected placement found in {max_tries} tries; "
-        "grow radio_range or shrink the area"
+        f"no connected placement found in {max_tries} tries, the attempt "
+        f"budget for {count} nodes; grow radio_range or shrink the area"
     )
+
+
+def placement_tries(count: int) -> int:
+    """Attempts a connected placement of count nodes gets: MAX_PLACEMENT_TRIES,
+    or fewer where that many would draw over MAX_PLACEMENT_DRAWS nodes."""
+    return max(1, min(MAX_PLACEMENT_TRIES, MAX_PLACEMENT_DRAWS // count))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -494,6 +495,44 @@ class TestEnergyDeath:
         assert batches
         assert all(sources and built == searched == 0
                    for sources, built, searched in batches)
+
+    def test_a_search_after_a_death_in_its_batch_builds_fresh_rows(
+        self, monkeypatch
+    ):
+        # 0 -- 1 -- 2(pe)     Source 0's only way out is relay 1, which its
+        #      |    |         ants drain to death. Source 4's ants then pass
+        #      3 -- 5         hub 3, whose row the first search built with 1
+        #      |              in it, so reading that row again would walk
+        #      4              them through the dead relay.
+        net = ExplicitNetworkSpec(
+            nodes=((0.0, 0.0, 100.0, 12.0), (10.0, 0.0, 20.0, 12.0),
+                   (20.0, 0.0, 100.0, 12.0), (10.0, 10.0, 100.0, 12.0),
+                   (10.0, 20.0, 100.0, 12.0), (20.0, 10.0, 100.0, 12.0)),
+            pe=2,
+        )
+        searches = []  # (source, relay 1 alive at its start, rows, result, fresh)
+        search = engine.run_search
+
+        def searched(net, source, dest, params, rng, quality, rows):
+            alive = net.node(1).alive
+            fresh = search(net, source, dest, params, copy.deepcopy(rng), quality)
+            result = search(net, source, dest, params, rng, quality, rows)
+            searches.append((source, alive, rows, result, fresh))
+            return result
+
+        monkeypatch.setattr(engine, "run_search", searched)
+        cfg = make_config(net, sources=(0, 4), ant_energy_cost=1.0,
+                          search=SearchParams(n_explorers=4, n_exploiters=4,
+                                              iterations=5))
+        sim = Simulation(cfg, seed=1)
+        (src0, alive0, rows0, _, _), (src4, alive4, rows4, second, fresh) = searches
+        assert (src0, alive0, src4, alive4) == (0, True, 4, False)
+        assert 1 in rows0[3][0]  # the hub's row from before the death
+        assert 1 not in second.transmit_counts
+        assert second.found and 1 not in second.best.path
+        assert second == fresh
+        assert 1 not in rows4[3][0]
+        assert sim.state.routes[4] == second.best.path
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 from random import Random
+from time import perf_counter
 
 import pytest
 
@@ -226,6 +227,53 @@ class TestGenerators:
             random_geometric_network(
                 10, 100.0, 100.0, 0.001, 50.0, Random(1), connected=True, max_tries=3
             )
+
+    def test_placement_budget_shrinks_with_count(self):
+        tries = network.placement_tries
+        assert [tries(n) for n in (2, 10, 2000, 5000)] == [200] * 4
+        assert [tries(n) for n in (5001, 20_000, 100_000)] == [199, 50, 10]
+        assert tries(10**7) == 1
+
+    # (count, range, draw budget or None for the default, budget, the seed
+    # whose first connected placement is the budget's last attempt, the seed
+    # whose first is one attempt past it), all in a 100 x 100 field
+    BUDGETS = [(10, 26.0, None, 200, 312, 1430), (40, 22.0, 120, 3, 3, 12)]
+
+    @pytest.mark.parametrize("count, reach, draws, budget, last, past", BUDGETS,
+                             ids=["default", "shrunk"])
+    def test_placement_just_under_and_past_the_budget(
+        self, monkeypatch, count, reach, draws, budget, last, past
+    ):
+        if draws is not None:
+            monkeypatch.setattr(network, "MAX_PLACEMENT_DRAWS", draws)
+        assert network.placement_tries(count) == budget
+
+        def place(seed, max_tries=None):
+            return random_geometric_network(
+                count, 100.0, 100.0, reach, 50.0, Random(seed), connected=True,
+                max_tries=max_tries,
+            )
+
+        placed = place(last)
+        assert len(hop_counts(placed, placed.pe_id)) == count
+        with pytest.raises(ValueError, match=f"in {budget - 1} tries"):
+            place(last, budget - 1)  # so the budget's last attempt placed it
+        # one attempt past the budget fails, naming it, after drawing exactly
+        # the budget's nodes; 200 attempts of 10 nodes take milliseconds
+        rng = Random(past)
+        start = perf_counter()
+        with pytest.raises(ValueError, match=(
+            f"^no connected placement found in {budget} tries, "
+            f"the attempt budget for {count} nodes;"
+        )):
+            random_geometric_network(count, 100.0, 100.0, reach, 50.0, rng,
+                                     connected=True)
+        assert perf_counter() - start < 5.0
+        drawn = Random(past)
+        for _ in range(2 * count * budget):
+            drawn.random()
+        assert rng.getstate() == drawn.getstate()
+        assert place(past, budget + 1).pe_id == 0
 
     def test_links_mutual_on_random_nets(self):
         # the link rule distance <= min(range) is symmetric by construction;

@@ -9,9 +9,11 @@ package's holds the links tours used, and every other link reads its
 shared untouched value.
 
 The walker reads a per-node quality table (quality_from_metrics of
-build_link_metrics) through the same `get` as a plain dict, so a search on
-such a table must equal the search on a dict of its items, down to the
-final pheromone.
+build_link_metrics) one node's row at a time, and a plain dict link by link,
+so a search on such a table must equal the search on a dict of its items,
+down to the final pheromone. Either search, given the candidate rows that an
+earlier search filled over the same network, table and params, must return
+what it returns with rows of its own.
 
 An explorer's hop draws from the walker's weights in one pass; it must pick
 the node, dead-end or raise exactly as the reference's normalize-then-draw
@@ -161,6 +163,14 @@ def test_per_node_quality_reads_like_a_dict(case):
     assert got.transmit_counts == want.transmit_counts
     assert got.pheromone == want.pheromone
     assert got.pheromone.untouched == want.pheromone.untouched
+    for table, alone in ((quality, got), (plain, want)):
+        rows = {}  # filled by a search the other way, then shared
+        run_search(net, dest, source, params, Random(seed + 1), table, rows)
+        assert rows
+        shared = run_search(net, source, dest, params, Random(seed), table, rows)
+        assert shared.best == alone.best
+        assert shared.stats == alone.stats
+        assert shared.transmit_counts == alone.transmit_counts
 
 
 # zeros, subnormals (whose quotient underflows next to a large total), plain
