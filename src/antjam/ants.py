@@ -7,9 +7,10 @@ take the best-weighted candidate. Sensitivity adapts after every tour: toward
 the colony's upper bound on a best-yet success, toward the lower bound on
 failure, and never leaves the colony's open interval.
 
-All randomness flows through the rng arguments. Within run_search each ant
-draws from its own substream derived from (search token, iteration, ant id),
-so results do not depend on construction order.
+All randomness flows through the rng arguments. Within run_search each
+explorer draws from its own substream derived from (search token, iteration,
+ant id), so results do not depend on construction order; exploiters draw
+nothing, so they get none.
 """
 
 from __future__ import annotations
@@ -231,8 +232,12 @@ class _Walk:
     set, the same quality table and the same beta. The round's weights swap in
     the transition weights under the current pheromone for (1/distance)^beta,
     on the first visit in a round, and hold for the rest of it: pheromone only
-    changes between rounds. new_round drops them, and must follow every update.
-    The public rule functions weigh their candidates with _weights too.
+    changes between rounds. new_round drops them, and must follow every update
+    with the tours it deposited on. A node outside `deposited`, the nodes that
+    own a pheromone entry, reads untouched on every out-link, so its weights
+    come from that one value with no per-link lookup and the same bits. The
+    public rule functions weigh their candidates with _weights too; their
+    trail holds every candidate link, so their node is in `deposited`.
     """
 
     def __init__(
@@ -252,25 +257,30 @@ class _Walk:
         self.alpha, self.beta = params.alpha, params.beta
         self.rows: dict[int, _Row] = {} if rows is None else rows
         self.weights: dict[int, _Row] = {}
+        # the nodes that own a pheromone entry; entries are never removed
+        self.deposited: set[int] = {i for i, _ in pheromone}
         # the first exploiter's walk this round: path and record
         self.greedy: tuple[tuple[int, ...], TourRecord | None] | None = None
 
-    def new_round(self) -> None:
+    def new_round(self, succeeded: Sequence[TourRecord]) -> None:
+        """Start a round after a pheromone update that deposited on these
+        tours: each node they left now owns an entry."""
+        for record in succeeded:
+            self.deposited.update(record.path[:-1])
         self.weights = {}
         self.greedy = None
 
     def _row(self, node: int) -> _Row:
         quality, distance, beta = self.quality, self.net.distance, self.beta
-        neighbors = sorted(self.net.neighbors(node))
+        ids = sorted(self.net.neighbors(node))
         if isinstance(quality, LinkTable):  # one read of the node's entries
-            values = quality.row(node, neighbors)
+            quals = quality.row(node, ids)
         else:
-            values = [quality.get((node, u), 0.0) for u in neighbors]
-        ids, quals = [], []
-        for u, q in zip(neighbors, values):
-            if q > 0.0:
-                ids.append(u)
-                quals.append(q)
+            quals = [quality.get((node, u), 0.0) for u in ids]
+        keep = [q > 0.0 for q in quals]
+        if not all(keep):  # leave out links whose quality is not positive
+            ids = [u for u, k in zip(ids, keep) if k]
+            quals = [q for q, k in zip(quals, keep) if k]
         dists = tuple([distance[(node, u)] for u in ids])
         inv_d_beta = tuple([(1.0 / d) ** beta for d in dists])
         self.rows[node] = row = (tuple(ids), inv_d_beta, tuple(quals), dists)
@@ -278,14 +288,21 @@ class _Walk:
 
     def _weights(self, node: int) -> _Row:
         ids, inv_d_beta, quals, dists = self.rows.get(node) or self._row(node)
-        # dict.get with the untouched value, not the Python-level __missing__
-        pheromone_of, untouched = self.pheromone.get, self.pheromone.untouched
-        alpha = self.alpha
-        # the transition rule, with (1/distance)^beta taken from the row
-        weights = [
-            base**alpha * d if (base := pheromone_of((node, u), untouched) * q) else 0.0
-            for u, q, d in zip(ids, quals, inv_d_beta)
-        ]
+        untouched, alpha = self.pheromone.untouched, self.alpha
+        # the transition rule, with (1/distance)^beta taken from the row; with
+        # alpha 0 only the guard weighs a zero base 0.0, since 0.0 ** 0 is 1
+        if alpha and node not in self.deposited:
+            # every out-link reads untouched; a zero base already weighs 0.0
+            weights = [(untouched * q) ** alpha * d for q, d in zip(quals, inv_d_beta)]
+        else:
+            # dict.get with the untouched value, not the Python-level __missing__
+            pheromone_of = self.pheromone.get
+            weights = [
+                base**alpha * d
+                if (base := pheromone_of((node, u), untouched) * q)
+                else 0.0
+                for u, q, d in zip(ids, quals, inv_d_beta)
+            ]
         self.weights[node] = entry = (ids, weights, quals, dists)
         return entry
 
@@ -477,10 +494,9 @@ def run_search(
     stats: list[IterationStats] = []
 
     for iteration in range(params.iterations):
-        # One pass in ant-id order, each ant on its own substream: walk, then
+        # One pass in ant-id order, each explorer on its own substream: walk, then
         # adapt and track the best. Sensitivity enters no weight and pheromone
         # changes only in the batch update, so no walk sees another's fold.
-        walk.new_round()
         succeeded: list[TourRecord] = []
         for ant in ants:
             # only an explorer draws; an exploiter's substream would go unread
@@ -498,6 +514,7 @@ def run_search(
             succeeded.append(record)
 
         global_pheromone_update(pheromone, succeeded, params)
+        walk.new_round(succeeded)
         scores = [record.score for record in succeeded]
         stats.append(
             IterationStats(

@@ -94,43 +94,40 @@ class Network:
         found at distance 0 is the smallest such pair overall.
         """
         ids = sorted(self.nodes)
-        unbounded = [i for i in ids if self.nodes[i].radio_range == math.inf]
+        position = {i: n.position for i, n in self.nodes.items()}
+        reach = {i: n.radio_range for i, n in self.nodes.items()}
+        unbounded = [i for i in ids if reach[i] == math.inf]
         cell_of, stride = _cells(self.nodes)
         around = [dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
         members: dict[int, list[int]] = {}
         for i in ids:
             members.setdefault(cell_of[i], []).append(i)
+        distance, adjacency = self.distance, self._adjacency
         for a in ids:
-            na = self.nodes[a]
+            pa, ra, linked = position[a], reach[a], adjacency[a]
             cell = cell_of[a]
             nearby = [b for d in around for b in members.get(cell + d, ()) if b > a]
-            if na.radio_range == math.inf:
+            if ra == math.inf:
                 nearby = set(nearby).union(b for b in unbounded if b > a)
             for b in sorted(nearby):
-                nb = self.nodes[b]
-                d = euclidean_distance(na.position, nb.position)
+                d = euclidean_distance(pa, position[b])
                 if d == 0.0:
-                    raise ValueError(
-                        f"nodes {a} and {b} share coordinates {na.position}"
-                    )
-                if d <= min(na.radio_range, nb.radio_range):
-                    self._add_link(a, b, d)
+                    raise ValueError(f"nodes {a} and {b} share coordinates {pa}")
+                rb = reach[b]
+                if d <= (ra if ra < rb else rb):
+                    if len(distance) + 2 > MAX_LINKS:
+                        raise ValueError(
+                            f"network exceeds {MAX_LINKS} directed links; "
+                            "shrink the radio range or the node count"
+                        )
+                    distance[(a, b)] = distance[(b, a)] = d
+                    linked.add(b)
+                    adjacency[b].add(a)
 
     @property
     def links(self) -> KeysView[tuple[int, int]]:
         """Every directed link (i, j), as a live view of the keys of `distance`."""
         return self.distance.keys()
-
-    def _add_link(self, a: int, b: int, d: float) -> None:
-        if len(self.distance) + 2 > MAX_LINKS:
-            raise ValueError(
-                f"network exceeds {MAX_LINKS} directed links; "
-                "shrink the radio range or the node count"
-            )
-        self.distance[(a, b)] = d
-        self.distance[(b, a)] = d
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
 
     def node(self, i: int) -> Node:
         try:

@@ -24,6 +24,7 @@ from antjam.metrics import TourRecord, build_link_metrics, quality_from_metrics
 from antjam.network import build_network, grid_network, random_geometric_network
 
 from oracle import best_score
+from reference_search import _weight
 
 
 def params(**kw):
@@ -489,3 +490,46 @@ class TestRunSearch:
         assert len(made) == p.n_explorers * p.iterations
         # each seed is "token:iteration:ant id", and explorers hold ids 0..2
         assert {int(seed.rsplit(":", 1)[1]) for (seed,) in made} == {0, 1, 2}
+
+
+class TestUntouchedRows:
+    # A node that owns no pheromone entry weighs its row from the shared
+    # untouched value alone; every weight must keep the rule's bits.
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5])  # rho 0 makes untouched 0.0
+    def test_weights_equal_the_reference_rule_after_each_round(
+        self, monkeypatch, alpha, rho
+    ):
+        # a sparse field where most first-round tours reach a dead end
+        rng = Random(18)
+        net = random_geometric_network(
+            30, 100.0, 100.0, 28.0, 50.0, rng, pe_index=29, connected=True
+        )
+        quality = {
+            link: 0.0 if rng.random() < 0.1 else rng.uniform(0.05, 1.0)
+            for link in sorted(net.links)
+        }
+        p = params(
+            alpha=alpha, rho=rho, n_explorers=4, n_exploiters=2, iterations=6
+        )
+        seen = {"deposited": 0, "untouched": 0}
+        new_round = _Walk.new_round
+
+        def checked_round(walk, succeeded):
+            # right after a pheromone update: every row reached so far
+            new_round(walk, succeeded)
+            owners = {i for i, _ in walk.pheromone}
+            for node, (ids, *_) in list(walk.rows.items()):
+                want = [
+                    _weight(node, u, walk.pheromone, quality, net.distance, p)
+                    for u in ids
+                ]
+                got = walk._weights(node)[1]
+                assert [w.hex() for w in got] == [w.hex() for w in want], node
+                seen["deposited" if node in owners else "untouched"] += 1
+            walk.weights.clear()  # the round's own walks weigh afresh
+
+        monkeypatch.setattr(_Walk, "new_round", checked_round)
+        result = run_search(net, 0, 29, p, Random(3), quality)
+        assert result.found
+        assert seen["deposited"] > 0 and seen["untouched"] > 0
