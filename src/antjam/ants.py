@@ -232,12 +232,14 @@ class _Walk:
     set, the same quality table and the same beta. The round's weights swap in
     the transition weights under the current pheromone for (1/distance)^beta,
     on the first visit in a round, and hold for the rest of it: pheromone only
-    changes between rounds. new_round drops them, and must follow every update
-    with the tours it deposited on. A node outside `deposited`, the nodes that
-    own a pheromone entry, reads untouched on every out-link, so its weights
-    come from that one value with no per-link lookup and the same bits. The
-    public rule functions weigh their candidates with _weights too; their
-    trail holds every candidate link, so their node is in `deposited`.
+    changes between rounds. new_round drops them, and must follow every update.
+    Only successful tours deposit. `deposited` holds the nodes that owned an
+    entry when the walker was made and the nodes of every successful tour
+    since, so a node outside it owns no pheromone entry and reads untouched
+    on every out-link: its weights come from that one value with no per-link
+    lookup and the same bits. The public rule functions weigh their
+    candidates with _weights too; their trail holds every candidate link, so
+    their node is in `deposited`.
     """
 
     def __init__(
@@ -257,30 +259,28 @@ class _Walk:
         self.alpha, self.beta = params.alpha, params.beta
         self.rows: dict[int, _Row] = {} if rows is None else rows
         self.weights: dict[int, _Row] = {}
-        # the nodes that own a pheromone entry; entries are never removed
+        # every node that owns a pheromone entry, and maybe more; entries are
+        # never removed
         self.deposited: set[int] = {i for i, _ in pheromone}
         # the first exploiter's walk this round: path and record
         self.greedy: tuple[tuple[int, ...], TourRecord | None] | None = None
 
-    def new_round(self, succeeded: Sequence[TourRecord]) -> None:
-        """Start a round after a pheromone update that deposited on these
-        tours: each node they left now owns an entry."""
-        for record in succeeded:
-            self.deposited.update(record.path[:-1])
+    def new_round(self) -> None:
         self.weights = {}
         self.greedy = None
 
     def _row(self, node: int) -> _Row:
         quality, distance, beta = self.quality, self.net.distance, self.beta
-        ids = sorted(self.net.neighbors(node))
+        neighbors = sorted(self.net.neighbors(node))
         if isinstance(quality, LinkTable):  # one read of the node's entries
-            quals = quality.row(node, ids)
+            values = quality.row(node, neighbors)
         else:
-            quals = [quality.get((node, u), 0.0) for u in ids]
-        keep = [q > 0.0 for q in quals]
-        if not all(keep):  # leave out links whose quality is not positive
-            ids = [u for u, k in zip(ids, keep) if k]
-            quals = [q for q, k in zip(quals, keep) if k]
+            values = [quality.get((node, u), 0.0) for u in neighbors]
+        ids, quals = [], []
+        for u, q in zip(neighbors, values):
+            if q > 0.0:
+                ids.append(u)
+                quals.append(q)
         dists = tuple([distance[(node, u)] for u in ids])
         inv_d_beta = tuple([(1.0 / d) ** beta for d in dists])
         self.rows[node] = row = (tuple(ids), inv_d_beta, tuple(quals), dists)
@@ -367,6 +367,9 @@ class _Walk:
             visited.add(nxt)
             current = nxt
         path = tuple(tour)
+        # the round's update deposits on every successful tour, so from then
+        # on its nodes may own pheromone entries
+        self.deposited.update(path)
         return path, TourRecord(path, walked, geometric_mean(quals_walked))
 
 
@@ -497,6 +500,7 @@ def run_search(
         # One pass in ant-id order, each explorer on its own substream: walk, then
         # adapt and track the best. Sensitivity enters no weight and pheromone
         # changes only in the batch update, so no walk sees another's fold.
+        walk.new_round()
         succeeded: list[TourRecord] = []
         for ant in ants:
             # only an explorer draws; an exploiter's substream would go unread
@@ -514,7 +518,6 @@ def run_search(
             succeeded.append(record)
 
         global_pheromone_update(pheromone, succeeded, params)
-        walk.new_round(succeeded)
         scores = [record.score for record in succeeded]
         stats.append(
             IterationStats(

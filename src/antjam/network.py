@@ -114,6 +114,7 @@ class Network:
                 if d == 0.0:
                     raise ValueError(f"nodes {a} and {b} share coordinates {pa}")
                 rb = reach[b]
+                # a compare, not min(): this runs for every nearby pair
                 if d <= (ra if ra < rb else rb):
                     if len(distance) + 2 > MAX_LINKS:
                         raise ValueError(

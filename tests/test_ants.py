@@ -515,9 +515,9 @@ class TestUntouchedRows:
         seen = {"deposited": 0, "untouched": 0}
         new_round = _Walk.new_round
 
-        def checked_round(walk, succeeded):
-            # right after a pheromone update: every row reached so far
-            new_round(walk, succeeded)
+        def checked_round(walk):
+            # each round after the first starts right after a pheromone
+            # update: weigh every row reached so far
             owners = {i for i, _ in walk.pheromone}
             for node, (ids, *_) in list(walk.rows.items()):
                 want = [
@@ -527,7 +527,7 @@ class TestUntouchedRows:
                 got = walk._weights(node)[1]
                 assert [w.hex() for w in got] == [w.hex() for w in want], node
                 seen["deposited" if node in owners else "untouched"] += 1
-            walk.weights.clear()  # the round's own walks weigh afresh
+            new_round(walk)
 
         monkeypatch.setattr(_Walk, "new_round", checked_round)
         result = run_search(net, 0, 29, p, Random(3), quality)
