@@ -226,20 +226,23 @@ class _Walk:
     """The one tour walker: ants from source to dest over rows built lazily.
 
     A node's row holds its live neighbors with quality > 0 in id order, with
-    each link's (1/distance)^beta, quality and distance in tuples sized to fit;
-    it is built when an ant first reaches the node, into `rows`. A given rows
-    dict may hold rows built earlier, so it must come from the same live link
-    set, the same quality table and the same beta. The round's weights swap in
-    the transition weights under the current pheromone for (1/distance)^beta,
-    on the first visit in a round, and hold for the rest of it: pheromone only
-    changes between rounds. new_round drops them, and must follow every update.
-    Only successful tours deposit. `deposited` holds the nodes that owned an
-    entry when the walker was made and the nodes of every successful tour
-    since, so a node outside it owns no pheromone entry and reads untouched
-    on every out-link: its weights come from that one value with no per-link
-    lookup and the same bits. The public rule functions weigh their
-    candidates with _weights too; their trail holds every candidate link, so
-    their node is in `deposited`.
+    each link's (1/distance)^beta, quality and distance in tuples sized to
+    fit; it is built when an ant first reaches the node, into `rows`, from
+    the network's kept neighbor row, whose id and distance tuples it reuses
+    when every quality is positive. A given rows dict may hold rows built
+    earlier, so it must come from the same live link set, the same quality
+    table and the same beta. Only successful tours deposit. `deposited`
+    holds the nodes that owned an entry when the walker was made and the
+    nodes of every successful tour since, so a node outside it owns no
+    pheromone entry and reads untouched on every out-link. With alpha > 0
+    the walk weighs such a node's row itself, from that one value with no
+    per-link lookup, at every visit, and keeps nothing. Any other node's
+    round weights swap in the transition weights under the current
+    pheromone for (1/distance)^beta, on the first visit in a round, and hold
+    for the rest of it: pheromone only changes between rounds. new_round
+    drops them, and must follow every update. Both ways give the same bits.
+    The public rule functions weigh their candidates with _weights; their
+    trail holds every candidate link, so their node is in `deposited`.
     """
 
     def __init__(
@@ -270,39 +273,34 @@ class _Walk:
         self.greedy = None
 
     def _row(self, node: int) -> _Row:
-        quality, distance, beta = self.quality, self.net.distance, self.beta
-        neighbors = sorted(self.net.neighbors(node))
+        ids, dists = self.net.neighbor_row(node)
+        quality, beta = self.quality, self.beta
         if isinstance(quality, LinkTable):  # one read of the node's entries
-            values = quality.row(node, neighbors)
+            quals = tuple(quality.row(node, ids))
         else:
-            values = [quality.get((node, u), 0.0) for u in neighbors]
-        ids, quals = [], []
-        for u, q in zip(neighbors, values):
-            if q > 0.0:
-                ids.append(u)
-                quals.append(q)
-        dists = tuple([distance[(node, u)] for u in ids])
+            quals = tuple([quality.get((node, u), 0.0) for u in ids])
+        if not all(q > 0.0 for q in quals):  # drop the links of quality <= 0
+            keep = [k for k, q in enumerate(quals) if q > 0.0]
+            ids = tuple([ids[k] for k in keep])
+            quals = tuple([quals[k] for k in keep])
+            dists = tuple([dists[k] for k in keep])
         inv_d_beta = tuple([(1.0 / d) ** beta for d in dists])
-        self.rows[node] = row = (tuple(ids), inv_d_beta, tuple(quals), dists)
+        self.rows[node] = row = (ids, inv_d_beta, quals, dists)
         return row
 
     def _weights(self, node: int) -> _Row:
         ids, inv_d_beta, quals, dists = self.rows.get(node) or self._row(node)
         untouched, alpha = self.pheromone.untouched, self.alpha
         # the transition rule, with (1/distance)^beta taken from the row; with
-        # alpha 0 only the guard weighs a zero base 0.0, since 0.0 ** 0 is 1
-        if alpha and node not in self.deposited:
-            # every out-link reads untouched; a zero base already weighs 0.0
-            weights = [(untouched * q) ** alpha * d for q, d in zip(quals, inv_d_beta)]
-        else:
-            # dict.get with the untouched value, not the Python-level __missing__
-            pheromone_of = self.pheromone.get
-            weights = [
-                base**alpha * d
-                if (base := pheromone_of((node, u), untouched) * q)
-                else 0.0
-                for u, q, d in zip(ids, quals, inv_d_beta)
-            ]
+        # alpha 0 only the guard weighs a zero base 0.0, since 0.0 ** 0 is 1.
+        # dict.get with the untouched value, not the Python-level __missing__
+        pheromone_of = self.pheromone.get
+        weights = [
+            base**alpha * d
+            if (base := pheromone_of((node, u), untouched) * q)
+            else 0.0
+            for u, q, d in zip(ids, quals, inv_d_beta)
+        ]
         self.weights[node] = entry = (ids, weights, quals, dists)
         return entry
 
@@ -328,15 +326,27 @@ class _Walk:
     ) -> tuple[tuple[int, ...], TourRecord | None]:
         source, dest = self.source, self.dest
         round_weights, new_weights = self.weights, self._weights
+        rows, new_row, deposited = self.rows, self._row, self.deposited
+        untouched, alpha = self.pheromone.untouched, self.alpha
         inf = math.inf
         tour, visited = [source], {source}
         walked, quals_walked = 0.0, []
         current = source
         while current != dest:
-            ids, weights, quals, dists = round_weights.get(current) or new_weights(current)
             # A visited candidate weighs zero: it adds nothing to any sum and
             # can be neither drawn nor the argmax, as if it were left out.
-            open_weights = [0.0 if u in visited else w for u, w in zip(ids, weights)]
+            entry = round_weights.get(current)
+            if entry is None and alpha and current not in deposited:
+                # every out-link reads untouched; with alpha > 0 a zero base
+                # already weighs 0.0, as the guard in _weights would give
+                ids, inv_d_beta, quals, dists = rows.get(current) or new_row(current)
+                open_weights = [
+                    0.0 if u in visited else (untouched * q) ** alpha * d
+                    for u, q, d in zip(ids, quals, inv_d_beta)
+                ]
+            else:
+                ids, weights, quals, dists = entry or new_weights(current)
+                open_weights = [0.0 if u in visited else w for u, w in zip(ids, weights)]
             if not explorer:
                 k = _argmax(open_weights)
             elif (total := sum(open_weights)) <= 0.0:
@@ -345,15 +355,15 @@ class _Walk:
                 # Roulette: the first index whose running sum of w / total
                 # exceeds the draw. If the sum rounds to just under it, the last
                 # index with a positive quotient wins, never a zero one.
-                r, acc, k = rng.random(), 0.0, 0
-                for j, w in enumerate(open_weights):
-                    p = w / total
-                    acc += p
+                r, acc = rng.random(), 0.0
+                for k, w in enumerate(open_weights):
+                    acc += w / total
                     if r < acc:
-                        k = j
                         break
-                    if p > 0.0:
-                        k = j
+                else:
+                    for k in range(k, -1, -1):
+                        if open_weights[k] / total > 0.0:
+                            break
             else:  # the total overflowed: no quotients can sum to 1
                 raise ValueError(
                     f"probabilities sum to {sum(w / total for w in open_weights)}, not 1"

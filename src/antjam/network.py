@@ -58,13 +58,17 @@ class Network:
     those keys. Dead nodes keep their Node record but lose every incident
     link, which removes them from all neighborhoods.
 
-    Positions never move after the build, so each node's nearest-live-neighbor
-    distance is cached here (dropped around a node when it dies). jammers.py
-    keeps its radio caches in one store, `_radio_memo`: the path-gain row of
-    each jammer position, and the last hearing set, picture and deceptive
-    victims, keyed in part on the link count, which stands for the link set
-    since links are only ever removed. A pickled or copied network carries
-    that store.
+    Positions never move after the build, so each node's neighbor row (its
+    live neighbor ids in ascending order, and their distances in the same
+    order) is kept from its first read until the node or one of those
+    neighbors dies. The ant search builds its candidate rows from it, and
+    the nearest-neighbor distance is its minimum. A pickled or copied
+    network leaves the rows behind and rebuilds them as they are read.
+    jammers.py keeps its radio caches in one store, `_radio_memo`: the
+    path-gain row of each jammer position, and the last hearing set,
+    picture and deceptive victims, keyed in part on the link count, which
+    stands for the link set since links are only ever removed. A pickled or
+    copied network carries that store.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -80,7 +84,7 @@ class Network:
         self.pe_id = pe_id
         self.distance: dict[tuple[int, int], float] = {}
         self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
-        self._nearest: dict[int, float | None] = {}
+        self._rows: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
         self._radio_memo: dict[Hashable, tuple[tuple, object]] = {}
         self._build_links()
 
@@ -125,6 +129,11 @@ class Network:
                     linked.add(b)
                     adjacency[b].add(a)
 
+    def __getstate__(self) -> dict:
+        # rows are rebuilt on first read: pickled, each would carry its own
+        # copy of every id and distance, since pickle shares no int or float
+        return {**self.__dict__, "_rows": {}}
+
     @property
     def links(self) -> KeysView[tuple[int, int]]:
         """Every directed link (i, j), as a live view of the keys of `distance`."""
@@ -141,16 +150,20 @@ class Network:
         self.node(i)
         return set(self._adjacency[i])
 
+    def neighbor_row(self, i: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(ids, distances) of i's live neighbors, ids ascending (empty for
+        dead or isolated nodes); kept until a death changes it."""
+        row = self._rows.get(i)
+        if row is None:
+            self.node(i)
+            ids = tuple(sorted(self._adjacency[i]))
+            distance = self.distance
+            row = self._rows[i] = (ids, tuple([distance[(i, j)] for j in ids]))
+        return row
+
     def nearest_distance(self, i: int) -> float | None:
         """Distance from i to its nearest live neighbor; None without one."""
-        try:
-            return self._nearest[i]
-        except KeyError:
-            pass
-        self.node(i)
-        d = min((self.distance[(i, j)] for j in self._adjacency[i]), default=None)
-        self._nearest[i] = d
-        return d
+        return min(self.neighbor_row(i)[1], default=None)
 
     def alive_ids(self) -> list[int]:
         return sorted(i for i, n in self.nodes.items() if n.alive)
@@ -176,9 +189,9 @@ class Network:
     def _kill(self, i: int) -> None:
         node = self.nodes[i]
         node.alive = False
-        self._nearest.pop(i, None)
+        self._rows.pop(i, None)
         for j in list(self._adjacency[i]):
-            self._nearest.pop(j, None)
+            self._rows.pop(j, None)
             del self.distance[(i, j)], self.distance[(j, i)]
             self._adjacency[j].discard(i)
         self._adjacency[i].clear()

@@ -24,6 +24,7 @@ from antjam.metrics import TourRecord, build_link_metrics, quality_from_metrics
 from antjam.network import build_network, grid_network, random_geometric_network
 
 from oracle import best_score
+import reference_search
 from reference_search import _weight
 
 
@@ -492,23 +493,30 @@ class TestRunSearch:
         assert {int(seed.rsplit(":", 1)[1]) for (seed,) in made} == {0, 1, 2}
 
 
+def sparse_field():
+    """A sparse field where most first-round tours reach a dead end, and a
+    quality per link, a tenth of them 0.0."""
+    rng = Random(18)
+    net = random_geometric_network(
+        30, 100.0, 100.0, 28.0, 50.0, rng, pe_index=29, connected=True
+    )
+    quality = {
+        link: 0.0 if rng.random() < 0.1 else rng.uniform(0.05, 1.0)
+        for link in sorted(net.links)
+    }
+    return net, quality
+
+
 class TestUntouchedRows:
-    # A node that owns no pheromone entry weighs its row from the shared
-    # untouched value alone; every weight must keep the rule's bits.
+    # A node that owns no pheromone entry reads the shared untouched value on
+    # every out-link, and with alpha > 0 the walk weighs its row from that
+    # value alone; every weight must keep the rule's bits.
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("rho", [0.0, 0.5])  # rho 0 makes untouched 0.0
     def test_weights_equal_the_reference_rule_after_each_round(
         self, monkeypatch, alpha, rho
     ):
-        # a sparse field where most first-round tours reach a dead end
-        rng = Random(18)
-        net = random_geometric_network(
-            30, 100.0, 100.0, 28.0, 50.0, rng, pe_index=29, connected=True
-        )
-        quality = {
-            link: 0.0 if rng.random() < 0.1 else rng.uniform(0.05, 1.0)
-            for link in sorted(net.links)
-        }
+        net, quality = sparse_field()
         p = params(
             alpha=alpha, rho=rho, n_explorers=4, n_exploiters=2, iterations=6
         )
@@ -533,3 +541,24 @@ class TestUntouchedRows:
         result = run_search(net, 0, 29, p, Random(3), quality)
         assert result.found
         assert seen["deposited"] > 0 and seen["untouched"] > 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("reachable", [True, False])
+    def test_searches_equal_the_reference_search(self, alpha, rho, reachable):
+        # The walk weighs a first visit to an untouched node itself, under
+        # the current round's untouched value, and only with alpha > 0.
+        # With dest cut off nothing is deposited, so with rho 0 every link
+        # reads 0.0 from the second round on and each ant stops at the source.
+        net, quality = sparse_field()
+        if not reachable:
+            quality = {link: 0.0 if 29 in link else q for link, q in quality.items()}
+        p = params(
+            alpha=alpha, rho=rho, n_explorers=4, n_exploiters=2, iterations=6
+        )
+        got = run_search(net, 0, 29, p, Random(3), quality)
+        want = reference_search.run_search(net, 0, 29, p, Random(3), quality)
+        assert got.found == reachable
+        assert got.best == want.best
+        assert got.stats == want.stats
+        assert got.transmit_counts == want.transmit_counts

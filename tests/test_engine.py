@@ -14,6 +14,7 @@ from antjam.config import (
 )
 from antjam.engine import Simulation, run_scenario
 from antjam.jammers import RadioParams
+from antjam.network import build_network
 from antjam.reporting import report_json_bytes
 from test_report_digests import CHURN, GRID49
 
@@ -533,6 +534,48 @@ class TestEnergyDeath:
         assert second == fresh
         assert 1 not in rows4[3][0]
         assert sim.state.routes[4] == second.best.path
+
+    def test_a_reroute_after_a_packet_phase_death_reads_fresh_neighbor_rows(
+        self, monkeypatch
+    ):
+        # DIAMOND with weak relays: forwarding drains top relay 1 to death in
+        # the packet phase (ants spend nothing). The network keeps each
+        # node's neighbor row across batches, so source 0's row, built with
+        # 1 in it at setup, must go with the death: the reroute batch walks
+        # the bottom arm, as a search over a network built with 1 dead does.
+        nodes = ((0.0, 0.0, 100.0, 8.0), (5.0, 4.0, 2.5, 8.0),
+                 (5.0, -5.0, 2.5, 8.0), (10.0, 0.0, 100.0, 8.0))
+        searches = []  # (dead at its start, result, search over a fresh network)
+        search = engine.run_search
+
+        def searched(net, source, dest, params, rng, quality, rows):
+            dead = {i for i, node in net.nodes.items() if not node.alive}
+            rebuilt = build_network([((x, y), e, r) for x, y, e, r in nodes], 3)
+            for i in dead:
+                rebuilt.drain_energy(i, rebuilt.node(i).energy)
+            fresh = search(rebuilt, source, dest, params, copy.deepcopy(rng), quality)
+            result = search(net, source, dest, params, rng, quality, rows)
+            searches.append((dead, result, fresh))
+            return result
+
+        monkeypatch.setattr(engine, "run_search", searched)
+        sim = Simulation(make_config(ExplicitNetworkSpec(nodes=nodes, pe=3),
+                                     duration=8), seed=3)
+        assert sim.state.routes[0] == (0, 1, 3)
+        assert sim.net._rows[0][0] == (1, 2)  # kept from setup's batch
+        for _ in range(8):
+            assert not any(e.kind == "death" for e in sim.detect_and_reroute())
+            sim.step()
+            if not sim.net.node(1).alive:
+                break
+        assert len(searches) == 1  # the death came in the packet phase
+        sim.detect_and_reroute()
+        (_, first, _), (dead, second, fresh) = searches
+        assert dead == {1} and 1 in first.best.path
+        assert 1 not in second.transmit_counts
+        assert second.found and 1 not in second.best.path
+        assert second == fresh
+        assert sim.state.routes[0] == (0, 2, 3)
 
 
 class TestDeterminism:

@@ -52,6 +52,9 @@ def test_network_copies(sims, when, how):
     }
     assert twin.distance == net.distance
     assert set(twin.links) == set(net.links)
+    # a copy leaves the kept neighbor rows behind and rebuilds them on read
+    ids = sorted(net.nodes)
+    assert [twin.neighbor_row(i) for i in ids] == [net.neighbor_row(i) for i in ids]
     t = sim.state.time
     want = sample_radio(net, sim.jammers, t, sim.radio, Random(5))
     got = sample_radio(twin, sim.jammers, t, sim.radio, Random(5))

@@ -2,15 +2,16 @@
 
 The package compares each node only with the nodes in its own and the 8
 neighbouring cells of bands no wider than the largest finite range (and
-nodes of infinite range with each other), caches each node's
-nearest-live-neighbor distance and each jammer's path-gain row on the
-network, and memoises the last radio samples and deceptive victims there.
-None of that may change a result: on generated explicit networks the links,
-distances, adjacency, radio samples, jammed flags, deceptive victims and the
-jammer rng state must equal the original pairwise, recompute-everything
-implementation at every step of runs of up to 40 steps, while relays die,
-random jammers change phase, reactive jammers turn on and off, jammer powers
-and radio values change on the same network, and steps come where no node is
+nodes of infinite range with each other), keeps each node's neighbor row
+(whose minimum is its nearest-live-neighbor distance) and each jammer's
+path-gain row on the network, and memoises the last radio samples and
+deceptive victims there. None of that may change a result: on generated
+explicit networks the links, distances, adjacency, kept neighbor rows,
+radio samples, jammed flags, deceptive victims and the jammer rng state
+must equal the original pairwise, recompute-everything implementation at
+every step of runs of up to 40 steps, while relays die, random jammers
+change phase, reactive jammers turn on and off, jammer powers and radio
+values change on the same network, and steps come where no node is
 sampled.
 """
 
@@ -59,6 +60,17 @@ def assert_same_links(net, specs):
     assert [(i, list(s)) for i, s in net._adjacency.items()] == [
         (i, list(s)) for i, s in adjacency.items()
     ]
+
+
+def assert_kept_rows(net, distance, adjacency):
+    """Each node's kept neighbor row lists its live reference neighbors in
+    id order with their reference distances (a dead node's row is empty), and
+    its nearest distance is the row's minimum."""
+    for i, node in net.nodes.items():
+        ids = sorted(j for j in adjacency[i] if net.nodes[j].alive) if node.alive else []
+        want = (tuple(ids), tuple(distance[(i, j)] for j in ids))
+        assert net.neighbor_row(i) == want, i
+        assert net.nearest_distance(i) == min(want[1], default=None), i
 
 
 def make_jammers(specs):
@@ -145,6 +157,9 @@ def test_matches_reference_radio(case):
         return
     net = build_network(specs, 0)
     assert_same_links(net, specs)
+    _, distance, adjacency = ref.reference_links(
+        {i: Node(i, pos, e, r) for i, (pos, e, r) in enumerate(specs)}
+    )
 
     mine, theirs = make_jammers(jammer_specs), make_jammers(jammer_specs)
     rng_a, rng_b = Random(seed), Random(seed)
@@ -152,6 +167,7 @@ def test_matches_reference_radio(case):
     for t, (drains, triggered, retune, repower) in enumerate(steps):
         for i, amount in drains:
             net.drain_energy(i, amount)
+        assert_kept_rows(net, distance, adjacency)
         for a, b, flag in zip(mine, theirs, triggered):
             a.triggered = b.triggered = flag
         if retune is not None:
