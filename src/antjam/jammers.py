@@ -6,6 +6,11 @@ well-formed packets, so nodes that hear it louder than their own traffic also
 waste receive energy (see deceptive_victims). A random jammer alternates
 seeded sleep/jam phases. A reactive jammer emits only when it heard channel
 activity on the previous step.
+
+The hearing set, the radio picture and the deceptive victims are kept on the
+network (see _memo). A changed radio value, emission or fake rebuilds one for
+every live node. A death only patches them: the network records the nodes
+whose neighbor rows each death drops, and just those are looked at again.
 """
 
 from __future__ import annotations
@@ -206,13 +211,30 @@ def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | 
     return radio.tx_power * path_gain(d, radio.d0, radio.gamma)
 
 
-def _memo(net: Network, name: Hashable, key: tuple, build: Callable[[], _T]) -> _T:
+def _memo(
+    net: Network,
+    name: Hashable,
+    key: tuple,
+    build: Callable[[], _T],
+    patch: Callable[[_T, set[int]], _T] | None = None,
+) -> _T:
     """The value kept under `name` on the network if it was built under an
-    equal key; otherwise build(), kept under `key`."""
+    equal key; otherwise build(), kept under `key`.
+
+    A `patch`ed name's key starts with the link count. When only that count
+    differs from the kept key, the value is patch(kept value, the nodes the
+    network recorded since it was kept) instead of build().
+    """
     hit = net._radio_memo.get(name)
-    if hit is None or hit[0] != key:
-        hit = net._radio_memo[name] = (key, build())
-    return hit[1]
+    if hit is not None and hit[0] == key:
+        return hit[2]
+    dropped = net._dropped_rows
+    if hit is not None and patch is not None and hit[0][1:] == key[1:]:
+        value = patch(hit[2], set(dropped[hit[1]:]))
+    else:
+        value = build()
+    net._radio_memo[name] = (key, len(dropped), value)
+    return value
 
 
 def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
@@ -228,19 +250,38 @@ def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int,
     return _memo(net, ("gain", position), (radio.d0, radio.gamma), build)
 
 
-def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, list[tuple[int, float]]]:
-    """(key, [(node, reference signal)]) of the live nodes that hear a neighbor.
+def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, dict[int, float]]:
+    """(key, {node: reference signal}) of the live nodes that hear a neighbor,
+    in ascending id order.
 
     Signals change only when a link goes or a radio value changes. Links are
     only ever removed, so the key is the link count and the radio values.
+    When only the link count has moved, the nodes whose rows a death dropped
+    are looked at again: a node that died or lost its last neighbor leaves,
+    and any other gets its signal recomputed in place. No node ever joins,
+    so the order holds.
     """
-    base = (len(net.distance), radio.floor, radio.tx_power, radio.d0, radio.gamma)
+    key = (len(net.distance), radio.floor, radio.tx_power, radio.d0, radio.gamma)
 
-    def build() -> list[tuple[int, float]]:
+    def build() -> dict[int, float]:
         signals = ((i, reference_signal(net, i, radio)) for i in net.alive_ids())
-        return [(i, signal) for i, signal in signals if signal is not None]
+        return {i: signal for i, signal in signals if signal is not None}
 
-    return base, _memo(net, "hearing", base, build)
+    def patch(hearing: dict[int, float], nodes: set[int]) -> dict[int, float]:
+        for i in nodes:
+            signal = reference_signal(net, i, radio)
+            if signal is None:
+                hearing.pop(i, None)
+            else:
+                hearing[i] = signal
+        return hearing
+
+    return key, _memo(net, "hearing", key, build, patch)
+
+
+def _drowned(sample: RadioSample) -> bool:
+    """The flag rule: the node's reference reception is drowned out."""
+    return is_jammed(signal_to_noise_ratio(sample))
 
 
 class RadioPicture(Mapping[int, RadioSample]):
@@ -249,11 +290,29 @@ class RadioPicture(Mapping[int, RadioSample]):
 
     __slots__ = ("_samples", "flagged")
 
-    def __init__(self, samples: Mapping[int, RadioSample]):
+    def __init__(
+        self, samples: Mapping[int, RadioSample], flagged: frozenset[int] | None = None
+    ):
         self._samples = samples
-        self.flagged = frozenset(
-            i for i, s in samples.items() if is_jammed(signal_to_noise_ratio(s))
-        )
+        if flagged is None:
+            flagged = frozenset(i for i, s in samples.items() if _drowned(s))
+        self.flagged = flagged
+
+    def _patched(self, hearing: Mapping[int, float], nodes: set[int]) -> RadioPicture:
+        """A new picture where each of `nodes` outside `hearing` leaves and
+        any other takes its signal from `hearing` and keeps its noise, which
+        is the same float under equal emissions; only their flags are worked
+        out again. This picture is left as it is."""
+        samples = dict(self._samples)
+        for i in nodes:
+            signal = hearing.get(i)
+            if signal is None:
+                samples.pop(i, None)
+            else:
+                samples[i] = RadioSample(signal, samples[i].p_noise)
+        return RadioPicture(samples, self.flagged.difference(nodes).union(
+            i for i in nodes if i in samples and _drowned(samples[i])
+        ))
 
     def __getitem__(self, i: int) -> RadioSample:
         return self._samples[i]
@@ -283,7 +342,9 @@ def sample_radio(
     Jammer emissions are evaluated once when some node is sampled, and not at
     all when none is. The picture is memoised on the network, keyed on its
     link count, the radio values and this step's (emission, position) pairs:
-    an equal key returns the same picture.
+    an equal key returns the same picture. A key that differs only in the
+    link count gives a patched copy, resampling just the nodes whose rows a
+    death dropped since the kept picture was made (see _hearing).
     """
     base, hearing = _hearing(net, radio)
     if not hearing:
@@ -294,16 +355,24 @@ def sample_radio(
         rows = _rows(net, radio, emissions)
         return RadioPicture({
             i: RadioSample(signal, _noise(radio.floor, rows, i))
-            for i, signal in hearing
+            for i, signal in hearing.items()
         })
 
-    return _memo(net, "samples", (base, emissions), build)
+    return _memo(
+        net, "samples", (*base, emissions), build,
+        lambda picture, nodes: picture._patched(hearing, nodes),
+    )
 
 
 def jammed_from_samples(samples: RadioPicture) -> frozenset[int]:
     """Nodes whose reference reception is drowned out this step (before
     debounce): the flags sample_radio's picture carries."""
     return samples.flagged
+
+
+def _fooled(fakes: list[tuple[float, dict[int, float]]], i: int, signal: float) -> bool:
+    """Whether some fake (power, gain row) reaches node i at `signal` or louder."""
+    return any(power * row[i] >= signal for power, row in fakes)
 
 
 def deceptive_victims(
@@ -316,7 +385,8 @@ def deceptive_victims(
 
     A node is a victim when some deceptive jammer's received power reaches its
     reference signal power, i.e. the fake traffic wins the channel. An equal
-    key returns the same set.
+    key returns the same set, and a key that differs only in the link count
+    a new set with just the nodes whose rows a death dropped judged again.
     """
     fakes = tuple(
         (j.power, j.position)
@@ -329,8 +399,12 @@ def deceptive_victims(
 
     def build() -> frozenset[int]:
         rows = _rows(net, radio, fakes)
-        return frozenset(
-            i for i, signal in hearing if any(power * row[i] >= signal for power, row in rows)
+        return frozenset(i for i, signal in hearing.items() if _fooled(rows, i, signal))
+
+    def patch(victims: frozenset[int], nodes: set[int]) -> frozenset[int]:
+        rows = _rows(net, radio, fakes)
+        return victims.difference(nodes).union(
+            i for i in nodes if i in hearing and _fooled(rows, i, hearing[i])
         )
 
-    return _memo(net, "victims", (base, fakes), build)
+    return _memo(net, "victims", (*base, fakes), build, patch)

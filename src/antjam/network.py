@@ -64,11 +64,15 @@ class Network:
     neighbors dies. The ant search builds its candidate rows from it, and
     the nearest-neighbor distance is its minimum. A pickled or copied
     network leaves the rows behind and rebuilds them as they are read.
+    `_dropped_rows` records, in order and never shortened, the nodes whose
+    rows a death drops: the dead node and its neighbors at the time.
     jammers.py keeps its radio caches in one store, `_radio_memo`: the
     path-gain row of each jammer position, and the last hearing set,
     picture and deceptive victims, keyed in part on the link count, which
-    stands for the link set since links are only ever removed. A pickled or
-    copied network carries that store.
+    stands for the link set since links are only ever removed. Each of the
+    last three notes the record's length when it is made, so a death
+    patches it for the nodes recorded since instead of rebuilding it. A
+    pickled or copied network carries that store and the record.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -85,7 +89,8 @@ class Network:
         self.distance: dict[tuple[int, int], float] = {}
         self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
         self._rows: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
-        self._radio_memo: dict[Hashable, tuple[tuple, object]] = {}
+        self._dropped_rows: list[int] = []
+        self._radio_memo: dict[Hashable, tuple[tuple, int, object]] = {}
         self._build_links()
 
     def _build_links(self) -> None:
@@ -177,12 +182,15 @@ class Network:
         """
         if amount < 0:
             raise ValueError("drain amount must be >= 0")
-        node = self.node(i)
+        node = self.nodes.get(i) or self.node(i)  # node() raises for an unknown id
         if not node.alive:
             return False
-        node.energy = max(0.0, node.energy - amount)
-        if node.energy != 0.0:
+        # a compare, not max(): this runs for every drain of every step
+        energy = node.energy - amount
+        if energy > 0.0:
+            node.energy = energy
             return False
+        node.energy = 0.0
         self._kill(i)
         return True
 
@@ -190,6 +198,8 @@ class Network:
         node = self.nodes[i]
         node.alive = False
         self._rows.pop(i, None)
+        self._dropped_rows.append(i)
+        self._dropped_rows.extend(self._adjacency[i])
         for j in list(self._adjacency[i]):
             self._rows.pop(j, None)
             del self.distance[(i, j)], self.distance[(j, i)]

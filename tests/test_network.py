@@ -162,6 +162,33 @@ class TestDrainEnergy:
         assert unit_square.drain_energy(1, 0.5) is True
         assert unit_square.drain_energy(1, 1.0) is False  # already dead
 
+    def test_unknown_node_rejected(self, unit_square):
+        with pytest.raises(ValueError, match="unknown node id 99"):
+            unit_square.drain_energy(99, 1.0)
+
+    @pytest.mark.parametrize("energy", [100.0, 0.3, math.inf])
+    @pytest.mark.parametrize("amount", [0.0, 0.1, 0.3, 99.9, 100.0, math.inf, math.nan])
+    def test_energy_left_is_the_floored_difference(self, energy, amount):
+        net = build_network([((0.0, 0.0), energy, 1.0), ((0.5, 0.0), 1.0, 1.0)], 1)
+        want = max(0.0, energy - amount)
+        assert net.drain_energy(0, amount) is (want == 0.0)
+        assert net.nodes[0].energy == want
+        assert net.nodes[0].alive is (want != 0.0)
+
+    def test_deaths_record_the_rows_they_drop(self, unit_square):
+        # 0 - 1 - 2 - 3 - 0 around the square
+        assert unit_square._dropped_rows == []
+        unit_square.drain_energy(1, 100.0)
+        assert unit_square._dropped_rows[0] == 1
+        assert sorted(unit_square._dropped_rows[1:]) == [0, 2]
+        unit_square.drain_energy(1, 1.0)  # already dead: nothing new
+        unit_square.drain_energy(0, 100.0)
+        assert unit_square._dropped_rows[3:] == [0, 3]
+        unit_square.drain_energy(3, 100.0)  # 2 loses its last neighbor
+        assert unit_square._dropped_rows[5:] == [3, 2]
+        unit_square.drain_energy(2, 100.0)  # an isolated death drops its own row
+        assert unit_square._dropped_rows[7:] == [2]
+
 
 class TestHopCounts:
     def test_line(self, line3):

@@ -52,6 +52,7 @@ def test_network_copies(sims, when, how):
     }
     assert twin.distance == net.distance
     assert set(twin.links) == set(net.links)
+    assert twin._dropped_rows == net._dropped_rows
     # a copy leaves the kept neighbor rows behind and rebuilds them on read
     ids = sorted(net.nodes)
     assert [twin.neighbor_row(i) for i in ids] == [net.neighbor_row(i) for i in ids]
@@ -86,7 +87,9 @@ def advance(sim, until):
     return sim
 
 
-@pytest.mark.parametrize("steps", [0, 25])
+# after 27 steps the two deaths of step 26 are recorded but not yet patched
+# into the radio memo, which the copy carries
+@pytest.mark.parametrize("steps", [0, 25, 27])
 def test_simulation_pickles_and_resumes(steps):
     want = report_json_bytes(Simulation(parse_config(CHURN), 7).run())
     sim = advance(Simulation(parse_config(CHURN), 7), steps)

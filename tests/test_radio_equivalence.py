@@ -5,20 +5,23 @@ neighbouring cells of bands no wider than the largest finite range (and
 nodes of infinite range with each other), keeps each node's neighbor row
 (whose minimum is its nearest-live-neighbor distance) and each jammer's
 path-gain row on the network, and memoises the last radio samples and
-deceptive victims there. None of that may change a result: on generated
+deceptive victims there, patching them after a death for the nodes whose
+rows it dropped. None of that may change a result: on generated
 explicit networks the links, distances, adjacency, kept neighbor rows,
 radio samples, jammed flags, deceptive victims and the jammer rng state
 must equal the original pairwise, recompute-everything implementation at
 every step of runs of up to 40 steps, while relays die, random jammers
 change phase, reactive jammers turn on and off, jammer powers and radio
 values change on the same network, and steps come where no node is
-sampled.
+sampled. The tests at the end pin what a patch recomputes, and that it
+leaves an earlier picture as it was.
 """
 
 import dataclasses
 import gc
 import math
 import weakref
+from contextlib import ExitStack, contextmanager
 from datetime import timedelta
 from random import Random
 from unittest import mock
@@ -38,7 +41,7 @@ from antjam.jammers import (
     reference_signal,
     sample_radio,
 )
-from antjam.network import Node, build_network
+from antjam.network import Node, build_network, euclidean_distance, grid_network
 
 # A few fixed jammer spots, so that a cache keyed on position alone would be
 # hit again by another example's network.
@@ -124,12 +127,26 @@ def radio_cases(draw):
         **{name: draw(st.sampled_from(values)) for name, values in RADIO_VALUES.items()}
     )
     steps = []
+    energy = [e for _, e, _ in specs]  # as the drains leave it
     for _ in range(draw(st.integers(1, 40))):
         # about one death every few steps, so runs have stretches of both
         drains = [
             (rng.randrange(count), rng.choice([0.5, 1.0, 5.0]))
             for _ in range(rng.choice([0, 0, 0, 1, 2]))
         ]
+        live = [k for k in range(count) if energy[k] > 0.0]
+        if live and rng.random() < 0.25:
+            # now and then two live neighbors of a live node die before the
+            # next sample: both deaths share the node, which may lose its last link
+            k = rng.choice(live)
+            around = [
+                j for j in live
+                if j != k
+                and euclidean_distance(positions[j], positions[k]) <= min(radii[j], radii[k])
+            ]
+            drains += [(j, 5.0) for j in rng.sample(around, min(2, len(around)))]
+        for i, amount in drains:
+            energy[i] -= amount
         triggered = [rng.random() < 0.5 for _ in jammer_specs]
         retune = None
         if rng.random() < 0.2:
@@ -300,3 +317,130 @@ def test_two_random_jammers_share_one_rng_through_a_silent_step():
     assert [(j._phase, j._phase_end) for j in mine] == [
         (j._phase, j._phase_end) for j in theirs
     ]
+
+
+# The radio memo after a death: the hearing set, the picture and the
+# deceptive victims are patched for the nodes whose rows the death dropped.
+
+
+def patch_case():
+    """A 5x5 grid (ids r*5 + c, links to the 8 around) under a constant
+    jammer on node 6 and a deceptive one on node 18."""
+    net = grid_network(5, 5, 1.0, 1.5, 10.0)
+    jammers = [
+        Jammer(JammerKind.CONSTANT, (1.0, 1.0), power=0.15),
+        Jammer(JammerKind.DECEPTIVE, (3.0, 3.0), power=0.3),
+    ]
+    return net, jammers
+
+
+def assert_radio_matches_reference(net, jammers, t, radio):
+    picture = sample_radio(net, jammers, t, radio, Random(0))
+    want = ref.sample_radio(net, jammers, t, radio, Random(0))
+    assert list(picture.items()) == list(want.items())
+    assert picture.flagged == {
+        i for i, sample in want.items() if sample.p_signal / sample.p_noise < 1.0
+    }
+    assert deceptive_victims(net, jammers, t, radio) == ref.deceptive_victims(
+        net, jammers, t, radio
+    )
+    return picture
+
+
+@contextmanager
+def radio_work():
+    """Mocks wrapping the per-node work: a reference signal, a noise sum, a
+    flag verdict and a victim verdict."""
+    names = ("reference_signal", "_noise", "_drowned", "_fooled")
+    with ExitStack() as stack:
+        yield {
+            name: stack.enter_context(
+                mock.patch.object(jammers_mod, name, wraps=getattr(jammers_mod, name))
+            )
+            for name in names
+        }
+
+
+def read_radio(net, jammers, t, radio):
+    sample_radio(net, jammers, t, radio, Random(0))
+    deceptive_victims(net, jammers, t, radio)
+
+
+def test_a_death_resamples_only_the_recorded_nodes():
+    net, jammers = patch_case()
+    radio = RadioParams()
+    with radio_work() as work:
+        read_radio(net, jammers, 0, radio)
+    assert work["reference_signal"].call_count == 25
+    assert work["_noise"].call_count == work["_drowned"].call_count == 25
+    assert work["_fooled"].call_count == 25
+
+    recorded = {12} | net.neighbors(12)
+    assert net.drain_energy(12, 10.0)
+    with radio_work() as work:
+        read_radio(net, jammers, 1, radio)
+    signals = [call.args[1] for call in work["reference_signal"].call_args_list]
+    assert sorted(signals) == sorted(recorded)
+    assert work["_noise"].call_count == 0  # equal emissions, equal noise
+    assert work["_drowned"].call_count == 8  # the dead node's neighbors
+    fooled = [call.args[1] for call in work["_fooled"].call_args_list]
+    assert sorted(fooled) == sorted(recorded - {12})
+    assert_radio_matches_reference(net, jammers, 1, radio)
+
+    jammers[0].power = 0.6  # a new emission: noise everywhere, signals kept
+    with radio_work() as work:
+        read_radio(net, jammers, 2, radio)
+    assert work["reference_signal"].call_count == 0
+    assert work["_noise"].call_count == work["_drowned"].call_count == 24
+    assert work["_fooled"].call_count == 0  # the fakes did not change
+    assert_radio_matches_reference(net, jammers, 2, radio)
+
+    jammers[1].power = 0.35  # new fakes: every node judged again
+    with radio_work() as work:
+        read_radio(net, jammers, 3, radio)
+    assert work["_noise"].call_count == 24
+    assert work["_fooled"].call_count == 24
+    assert_radio_matches_reference(net, jammers, 3, radio)
+
+    radio.tx_power = 0.2  # a new radio value: every signal again
+    with radio_work() as work:
+        read_radio(net, jammers, 4, radio)
+    assert work["reference_signal"].call_count == 24
+    assert work["_noise"].call_count == work["_fooled"].call_count == 24
+    assert_radio_matches_reference(net, jammers, 4, radio)
+
+
+def test_a_patch_leaves_the_earlier_picture_as_it_was():
+    net, jammers = patch_case()
+    radio = RadioParams()
+    before = sample_radio(net, jammers, 0, radio, Random(0))
+    items, flagged = list(before.items()), before.flagged
+    assert 6 in flagged
+    assert net.drain_energy(6, 10.0)  # a flagged node dies
+    after = sample_radio(net, jammers, 1, radio, Random(0))
+    assert after is not before
+    assert 6 not in after and 6 not in after.flagged
+    assert list(before.items()) == items
+    assert before.flagged is flagged
+
+
+def test_two_deaths_around_a_shared_neighbor_match_the_reference():
+    net, jammers = patch_case()
+    radio = RadioParams()
+    picture = assert_radio_matches_reference(net, jammers, 0, radio)
+    assert 0 not in picture.flagged
+    # 1 and 5 die between samples, both next to 0 and 6: 0's nearest
+    # neighbor is now 6, on the diagonal, and the weaker signal is jammed
+    assert net.drain_energy(1, 10.0) and net.drain_energy(5, 10.0)
+    picture = assert_radio_matches_reference(net, jammers, 1, radio)
+    assert 0 in picture.flagged
+    # 6 and 10 die, both next to 11: 0 is left with no link
+    assert net.drain_energy(6, 10.0) and net.drain_energy(10, 10.0)
+    picture = assert_radio_matches_reference(net, jammers, 2, radio)
+    assert 0 not in picture and 11 in picture
+    assert 11 not in deceptive_victims(net, jammers, 2, radio)
+    # 12 and 16 die: 11 hears only diagonals now, and the fakes drown that
+    assert net.drain_energy(12, 10.0) and net.drain_energy(16, 10.0)
+    assert_radio_matches_reference(net, jammers, 3, radio)
+    assert 11 in deceptive_victims(net, jammers, 3, radio)
+
