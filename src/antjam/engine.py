@@ -221,76 +221,88 @@ class Simulation:
                                     detail="no live path to the processing element"))
         return events
 
-    # ----- per-step phases -------------------------------------------
+    # ----- per-step phases, in README's "Simulation step order" --------
 
     def step(self) -> list[Event]:
         """Advance the scenario one time step; returns this step's events."""
         st = self.state
         t = st.time
-        sent, delivered, dropped = st.trace[1 - ROW : 4 - ROW] if st.trace else (0, 0, 0)
-        cfg = self.config
-        nodes = self.net.nodes
         events: list[Event] = []
+        self._sense()
+        flags = self._flag(t, events)
+        self._drain_victims(t)
+        delivered, dropped = self._advance(t, flags, events)
+        sent = self._emit(t, flags)
+        before = st.trace[1 - ROW : 4 - ROW] if st.trace else (0, 0, 0)
+        st.trace.extend((t, before[0] + sent, before[1] + delivered,
+                         before[2] + dropped, len(st.packets), len(flags)))
+        for i in sorted(st.unreported_dead):
+            events.append(Event(t, "death", node=i))
+        st.unreported_dead = set()
+        return events
 
-        # 1. reactive jammers hear last step's transmissions (one-step latency)
+    def _sense(self) -> None:
+        """Reactive jammers hear last step's transmissions (one-step latency)."""
+        nodes = self.net.nodes
         for jammer in self.jammers:
             if jammer.kind is JammerKind.REACTIVE:
                 jammer.triggered = any(
                     euclidean_distance(jammer.position, nodes[i].position)
                     <= jammer.sense_range
-                    for i in st.last_transmitters
+                    for i in self.state.last_transmitters
                 )
 
-        # 2. radio picture and debounced jam flags
-        samples = sample_radio(self.net, self.jammers, t, self.radio, self.jam_rng)
-        instantaneous = jammed_from_samples(samples)
-        streaks: dict[int, int] = {}
-        for i in instantaneous:
-            streaks[i] = st.streaks.get(i, 0) + 1
-        st.streaks = streaks
-        flags = {i for i, n in streaks.items() if n >= self.radio.debounce}
+    def _flag(self, t: int, events: list[Event]) -> set[int]:
+        """The radio picture, and jam flags debounced over it; returns the flags."""
+        st = self.state
+        st.last_samples = sample_radio(self.net, self.jammers, t, self.radio, self.jam_rng)
+        jammed = jammed_from_samples(st.last_samples)
+        st.streaks = {i: st.streaks.get(i, 0) + 1 for i in jammed}
+        flags = {i for i, n in st.streaks.items() if n >= self.radio.debounce}
         for i in sorted(flags - st.flags):
             events.append(Event(t, "flagged", node=i))
         for i in sorted(st.flags - flags):
             events.append(Event(t, "cleared", node=i))
         st.flags = flags
+        return flags
 
-        # 3. deceptive jammers keep their victims busy receiving fake packets
-        if cfg.rx_energy_cost > 0.0:
-            for victim in sorted(
-                deceptive_victims(self.net, self.jammers, t, self.radio)
-            ):
-                self._drain(victim, cfg.rx_energy_cost)
+    def _drain_victims(self, t: int) -> None:
+        """Deceptive jammers keep their victims busy receiving fake packets."""
+        cost = self.config.rx_energy_cost
+        if cost > 0.0:
+            for victim in sorted(deceptive_victims(self.net, self.jammers, t, self.radio)):
+                self._drain(victim, cost)
 
-        # 4. packets advance one hop
+    def _advance(self, t: int, flags: set[int], events: list[Event]) -> tuple[int, int]:
+        """In-flight packets advance one hop; returns (delivered, dropped). One
+        whose next hop is flagged or dead is dropped unsent: its link counts the
+        attempt, and its holder spends no energy and is not heard."""
+        st = self.state
+        nodes = self.net.nodes
+        counters = st.counters
         transmitters: set[int] = set()
         kept: list[Packet] = []
-        counters = st.counters
+        delivered = dropped = 0
         for pkt in st.packets:
             cur = pkt.route[pkt.idx]
             nxt = pkt.route[pkt.idx + 1]
-            if cur in flags or not nodes[cur].alive:
-                dropped += 1
-                events.append(
-                    Event(t, "drop", node=cur, source=pkt.route[0],
-                          detail="holder jammed or dead")
-                )
-                continue
-            counter = counters.get((cur, nxt))
-            if counter is None:
-                counter = counters[(cur, nxt)] = LinkCounters()
-            if nxt in flags or not nodes[nxt].alive:
+            lost = cur if cur in flags or not nodes[cur].alive else None
+            if lost is None:
+                counter = counters.get((cur, nxt))
+                if counter is None:
+                    counter = counters[(cur, nxt)] = LinkCounters()
                 counter.attempts += 1
+                if nxt in flags or not nodes[nxt].alive:
+                    lost = nxt
+            if lost is not None:
                 dropped += 1
-                events.append(
-                    Event(t, "drop", node=nxt, source=pkt.route[0],
-                          detail="next hop jammed or dead")
-                )
+                where = "holder" if lost == cur else "next hop"
+                events.append(Event(t, "drop", node=lost, source=pkt.route[0],
+                                    detail=f"{where} jammed or dead"))
                 continue
-            counter.attempts += 1
             counter.delivered += 1
             transmitters.add(cur)
-            self._drain(cur, cfg.packet_energy_cost)
+            self._drain(cur, self.config.packet_energy_cost)
             pkt.idx += 1
             if pkt.idx == len(pkt.route) - 1:
                 delivered += 1
@@ -299,26 +311,23 @@ class Simulation:
             else:
                 kept.append(pkt)
         st.packets = kept
+        st.last_transmitters = transmitters
+        return delivered, dropped
 
-        # 5. sources emit onto their installed routes
-        for src in sorted(st.routes):
-            route = st.routes[src]
-            if route is None or src in flags or not nodes[src].alive:
+    def _emit(self, t: int, flags: set[int]) -> int:
+        """Sources emit onto their installed routes; returns the packets sent."""
+        st = self.state
+        sent = 0
+        for src, route in sorted(st.routes.items()):
+            if route is None or src in flags or not self.net.nodes[src].alive:
                 continue
-            acc = st.emit_acc[src] + cfg.rate
+            acc = st.emit_acc[src] + self.config.rate
             while acc >= 1.0:
                 acc -= 1.0
                 st.packets.append(Packet(route, 0, t))
                 sent += 1
             st.emit_acc[src] = acc
-
-        st.last_transmitters = transmitters
-        st.last_samples = samples
-        st.trace.extend((t, sent, delivered, dropped, len(st.packets), len(flags)))
-        for i in sorted(st.unreported_dead):
-            events.append(Event(t, "death", node=i))
-        st.unreported_dead = set()
-        return events
+        return sent
 
     def detect_and_reroute(self) -> list[Event]:
         """Re-search routes crossing a node flagged now but not at the last call,

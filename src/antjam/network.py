@@ -58,14 +58,12 @@ class Network:
     those keys. Dead nodes keep their Node record but lose every incident
     link, which removes them from all neighborhoods.
 
-    Positions never move after the build, so each node's neighbor row (its
-    live neighbor ids in ascending order, and their distances in the same
-    order) is kept from its first read until the node or one of those
-    neighbors dies. The ant search builds its candidate rows from it, and
-    the nearest-neighbor distance is its minimum. A pickled or copied
-    network leaves the rows behind and rebuilds them as they are read.
+    Each node's neighbor row holds its live neighbor ids in ascending order,
+    and their distances in the same order; a death takes the dead node out
+    of its neighbors' rows and empties its own. The ant search builds its
+    candidate rows from it, and the nearest-neighbor distance is its minimum.
     `_dropped_rows` records, in order and never shortened, the nodes whose
-    rows a death drops: the dead node and its neighbors at the time.
+    rows a death changes: the dead node and its neighbors at the time.
     jammers.py keeps its radio caches in one store, `_radio_memo`: the
     path-gain row of each jammer position, and the last hearing set,
     picture and deceptive victims, keyed in part on the link count, which
@@ -87,7 +85,6 @@ class Network:
             raise ValueError(f"unknown processing element id {pe_id}")
         self.pe_id = pe_id
         self.distance: dict[tuple[int, int], float] = {}
-        self._adjacency: dict[int, set[int]] = {i: set() for i in self.nodes}
         self._rows: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
         self._dropped_rows: list[int] = []
         self._radio_memo: dict[Hashable, tuple[tuple, int, object]] = {}
@@ -100,7 +97,8 @@ class Network:
         around it (see _cells), and one of infinite range also with every
         higher id of infinite range, which it always links to, so MAX_LINKS
         bounds that work. Coincident nodes share a cell, so the first pair
-        found at distance 0 is the smallest such pair overall.
+        found at distance 0 is the smallest such pair overall. Each node's
+        row comes out sorted: lower neighbors first, then higher, each ascending.
         """
         ids = sorted(self.nodes)
         position = {i: n.position for i, n in self.nodes.items()}
@@ -111,9 +109,10 @@ class Network:
         members: dict[int, list[int]] = {}
         for i in ids:
             members.setdefault(cell_of[i], []).append(i)
-        distance, adjacency = self.distance, self._adjacency
+        distance = self.distance
+        found: dict[int, tuple[list[int], list[float]]] = {i: ([], []) for i in ids}
         for a in ids:
-            pa, ra, linked = position[a], reach[a], adjacency[a]
+            pa, ra, (linked, linked_at) = position[a], reach[a], found[a]
             cell = cell_of[a]
             nearby = [b for d in around for b in members.get(cell + d, ()) if b > a]
             if ra == math.inf:
@@ -131,13 +130,11 @@ class Network:
                             "shrink the radio range or the node count"
                         )
                     distance[(a, b)] = distance[(b, a)] = d
-                    linked.add(b)
-                    adjacency[b].add(a)
-
-    def __getstate__(self) -> dict:
-        # rows are rebuilt on first read: pickled, each would carry its own
-        # copy of every id and distance, since pickle shares no int or float
-        return {**self.__dict__, "_rows": {}}
+                    linked.append(b)
+                    linked_at.append(d)
+                    found[b][0].append(a)
+                    found[b][1].append(d)
+        self._rows = {i: (tuple(ns), tuple(ds)) for i, (ns, ds) in found.items()}
 
     @property
     def links(self) -> KeysView[tuple[int, int]]:
@@ -152,19 +149,13 @@ class Network:
 
     def neighbors(self, i: int) -> set[int]:
         """Live nodes sharing a link with i (empty for dead or isolated nodes)."""
-        self.node(i)
-        return set(self._adjacency[i])
+        return set(self.neighbor_row(i)[0])
 
     def neighbor_row(self, i: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """(ids, distances) of i's live neighbors, ids ascending (empty for
-        dead or isolated nodes); kept until a death changes it."""
-        row = self._rows.get(i)
-        if row is None:
-            self.node(i)
-            ids = tuple(sorted(self._adjacency[i]))
-            distance = self.distance
-            row = self._rows[i] = (ids, tuple([distance[(i, j)] for j in ids]))
-        return row
+        dead or isolated nodes)."""
+        self.node(i)
+        return self._rows[i]
 
     def nearest_distance(self, i: int) -> float | None:
         """Distance from i to its nearest live neighbor; None without one."""
@@ -195,16 +186,16 @@ class Network:
         return True
 
     def _kill(self, i: int) -> None:
-        node = self.nodes[i]
-        node.alive = False
-        self._rows.pop(i, None)
+        self.nodes[i].alive = False
+        linked = self._rows[i][0]
+        self._rows[i] = ((), ())
         self._dropped_rows.append(i)
-        self._dropped_rows.extend(self._adjacency[i])
-        for j in list(self._adjacency[i]):
-            self._rows.pop(j, None)
+        self._dropped_rows.extend(linked)
+        for j in linked:
             del self.distance[(i, j)], self.distance[(j, i)]
-            self._adjacency[j].discard(i)
-        self._adjacency[i].clear()
+            ids, dists = self._rows[j]
+            k = ids.index(i)
+            self._rows[j] = (ids[:k] + ids[k + 1 :], dists[:k] + dists[k + 1 :])
 
 
 def _cells(nodes: Mapping[int, Node]) -> tuple[dict[int, int], int]:
@@ -259,7 +250,7 @@ def hop_counts(net: Network, target: int, blocked: frozenset[int] = frozenset())
     queue = deque([target])
     while queue:
         cur = queue.popleft()
-        for nxt in net._adjacency[cur]:
+        for nxt in net._rows[cur][0]:
             if nxt in hops or nxt in blocked:
                 continue
             hops[nxt] = hops[cur] + 1

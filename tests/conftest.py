@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,7 +7,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
+import antjam
 from antjam.network import build_network
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment for a child Python: the directory antjam was imported
+    from goes first on its PYTHONPATH, so the child imports the same package
+    whether this process found it through PYTHONPATH, sys.path or an install."""
+    found = str(Path(antjam.__file__).resolve().parent.parent)
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (found, os.environ.get("PYTHONPATH")))),
+    }
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -355,12 +354,12 @@ class TestExitCodes:
         ],
         ids=["tiny-area", "short-range"],
     )
-    def test_failed_placement_is_config_error(self, tmp_path, area, reason):
+    def test_failed_placement_is_config_error(self, tmp_path, area, reason, child_env):
         path = tmp_path / "field.cfg"
         path.write_text(f"[network]\nlayout = random\ncount = 10\n{area}\n")
         proc = subprocess.run(
             [sys.executable, "-m", "antjam", "run", "--config", str(path), "--seed", "1"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=child_env,
         )
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("error: ") and reason in proc.stderr
@@ -373,11 +372,11 @@ class TestExitCodes:
         assert "cannot write output" in capsys.readouterr().err
 
 
-def test_module_invocation_matches_library(config_file):
+def test_module_invocation_matches_library(config_file, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "antjam", "run",
          "--config", str(config_file), "--seed", "5"],
-        capture_output=True,
+        capture_output=True, env=child_env,
     )
     assert proc.returncode == EXIT_OK
     expected = report_json_bytes(run_scenario(parse_config(config_file.read_text()), 5))
@@ -385,13 +384,13 @@ def test_module_invocation_matches_library(config_file):
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_output_does_not_depend_on_hash_seed(config_file, command):
+def test_output_does_not_depend_on_hash_seed(config_file, command, child_env):
     outputs = [
         subprocess.run(
             [sys.executable, "-m", "antjam", command,
              "--config", str(config_file), "--seeds", "1..3"],
             capture_output=True,
-            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            env={**child_env, "PYTHONHASHSEED": hash_seed},
             check=True,
         ).stdout
         for hash_seed in ("0", "12345")

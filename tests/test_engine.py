@@ -13,7 +13,7 @@ from antjam.config import (
     parse_config,
 )
 from antjam.engine import Simulation, run_scenario
-from antjam.jammers import RadioParams
+from antjam.jammers import RadioParams, RadioPicture
 from antjam.network import build_network
 from antjam.reporting import report_json_bytes
 from test_report_digests import CHURN, GRID49
@@ -540,8 +540,8 @@ class TestEnergyDeath:
     ):
         # DIAMOND with weak relays: forwarding drains top relay 1 to death in
         # the packet phase (ants spend nothing). The network keeps each
-        # node's neighbor row across batches, so source 0's row, built with
-        # 1 in it at setup, must go with the death: the reroute batch walks
+        # node's neighbor row across batches, so source 0's row, read with
+        # 1 in it at setup, must lose 1 at the death: the reroute batch walks
         # the bottom arm, as a search over a network built with 1 dead does.
         nodes = ((0.0, 0.0, 100.0, 8.0), (5.0, 4.0, 2.5, 8.0),
                  (5.0, -5.0, 2.5, 8.0), (10.0, 0.0, 100.0, 8.0))
@@ -562,7 +562,7 @@ class TestEnergyDeath:
         sim = Simulation(make_config(ExplicitNetworkSpec(nodes=nodes, pe=3),
                                      duration=8), seed=3)
         assert sim.state.routes[0] == (0, 1, 3)
-        assert sim.net._rows[0][0] == (1, 2)  # kept from setup's batch
+        assert sim.net._rows[0][0] == (1, 2)  # as setup's batch read it
         for _ in range(8):
             assert not any(e.kind == "death" for e in sim.detect_and_reroute())
             sim.step()
@@ -576,6 +576,68 @@ class TestEnergyDeath:
         assert second.found and 1 not in second.best.path
         assert second == fresh
         assert sim.state.routes[0] == (0, 2, 3)
+
+
+class TestPatchedRadio:
+    """A death patches the kept radio picture, its flags and the deceptive
+    victims instead of rebuilding them, and a run must not tell the two apart.
+
+    Source 0 and the PE 2 each have a helper 3 away (4 and 5), and link
+    through relay 1 or through node 3, 4 below it. The deceptive jammer, 5
+    above relay 1, flags it and makes it a victim from step 3, but not node
+    3, which hears relay 1 at distance 4. The fake traffic drains relay 1 to
+    death at step 6. Node 3's nearest live neighbor is then 10.8 away, so the
+    patch at step 7 flags it and makes it a victim too, and its own death at
+    step 10 clears it. With rerouting on, the route moves to node 3 at step 3
+    and suspends at step 7; without it, relay 1 is on the route when it dies.
+    """
+
+    NET = ExplicitNetworkSpec(
+        nodes=((0.0, 0.0, 100.0, 12.0), (10.0, 0.0, 100.0, 12.0),
+               (20.0, 0.0, 100.0, 12.0), (10.0, -4.0, 100.0, 12.0),
+               (-3.0, 0.0, 100.0, 12.0), (23.0, 0.0, 100.0, 12.0)),
+        pe=2,
+    )
+    JAM = (JammerSpec(kind="deceptive", x=10.0, y=5.0, power=0.3, start=3),)
+
+    @staticmethod
+    def advance(sim):
+        events = sim.step()
+        return events + sim.detect_and_reroute() if sim.config.reroute else events
+
+    @pytest.mark.parametrize("reroute", [True, False])
+    def test_a_death_that_changes_a_flag_runs_as_a_rebuild(self, monkeypatch, reroute):
+        cfg = make_config(self.NET, jammers=self.JAM, duration=12, reroute=reroute,
+                          packet_energy_cost=0.0, rx_energy_cost=25.0)
+        rebuilt = Simulation(cfg, seed=1)
+        want = []
+        for _ in range(cfg.duration):
+            rebuilt.net._radio_memo.clear()  # every step samples from scratch
+            want.append(self.advance(rebuilt))
+
+        patches = []  # (flags before, flags after) of each patched picture
+        patch = RadioPicture._patched
+
+        def patched(picture, hearing, nodes):
+            new = patch(picture, hearing, nodes)
+            patches.append((picture.flagged, new.flagged))
+            return new
+
+        monkeypatch.setattr(RadioPicture, "_patched", patched)
+        sim = Simulation(cfg, seed=1)
+        assert sim.state.routes[0] == (0, 1, 2)
+        got = [self.advance(sim) for _ in range(cfg.duration)]
+        assert got == want
+        assert report_json_bytes(sim.report()) == report_json_bytes(rebuilt.report())
+        changes = [
+            (e.step, e.kind, e.node) for events in got for e in events
+            if e.kind in ("flagged", "cleared", "death")
+        ]
+        assert changes == [
+            (3, "flagged", 1), (6, "death", 1), (7, "flagged", 3),
+            (7, "cleared", 1), (10, "death", 3), (11, "cleared", 3),
+        ]
+        assert patches == [({1}, {3}), ({3}, set())]
 
 
 class TestDeterminism:

@@ -8,8 +8,10 @@ energy, and the nodes with a jam streak are exactly the brute-force set of
 nodes whose sampled signal-to-noise ratio is below 1. Over the run each node
 that died has exactly one death event, and the same config and seed replay
 to the same report bytes, also after a `format_config` -> `parse_config`
-round trip. A config that lists a source twice is refused both by
-`Simulation` and, after `format_config`, by `parse_config`. Driven with
+round trip. A generated config that lists a source twice runs with each
+source once; the same config with one of its sources (or the default
+source) listed again is refused both by `Simulation` and, after
+`format_config`, by `parse_config`. Driven with
 `detect_and_reroute()` after every first, second or third step instead, no
 route left by a reroute crosses a flagged node.
 """
@@ -122,15 +124,29 @@ def scenarios(draw):
     )
 
 
+def each_source_once(cfg):
+    """cfg with each source once, as Simulation requires."""
+    if cfg.sources:
+        cfg = replace(cfg, sources=tuple(dict.fromkeys(cfg.sources)))
+    return cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios(), st.data())
+def test_a_source_listed_twice_is_refused(cfg, data):
+    sources = cfg.sources or (1 if cfg.network.pe == 0 else 0,)  # or the default
+    again = data.draw(st.sampled_from(sources))
+    cfg = replace(cfg, sources=tuple(data.draw(st.permutations((*sources, again)))))
+    with pytest.raises(ValueError, match="listed twice"):
+        Simulation(cfg, 0)
+    with pytest.raises(ConfigError, match="listed twice"):
+        parse_config(format_config(cfg))
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenarios(), st.integers(0, 2**16))
 def test_step_invariants(cfg, seed):
-    if cfg.sources and len(set(cfg.sources)) < len(cfg.sources):
-        with pytest.raises(ValueError, match="listed twice"):
-            Simulation(cfg, seed)
-        with pytest.raises(ConfigError, match="listed twice"):
-            parse_config(format_config(cfg))
-        return
+    cfg = each_source_once(cfg)
     sim = Simulation(cfg, seed)
     # the initial installation is a batch at step -1 that counts no reroute
     assert sim.state.reroutes == 0
@@ -171,8 +187,7 @@ def test_reroutes_see_every_flag_since_the_last(cfg, seed, every):
     A dead node is not checked: a batch's own ants can drain a relay of the
     route that the batch has just found.
     """
-    if cfg.sources:  # each source once, as Simulation requires
-        cfg = replace(cfg, sources=tuple(dict.fromkeys(cfg.sources)))
+    cfg = each_source_once(cfg)
     sim = Simulation(cfg, seed)
     for t in range(1, cfg.duration + 1):
         sim.step()

@@ -44,17 +44,17 @@ print(peak if sys.platform == "darwin" else peak * 1024)
 """
 
 
-def peak_rss(tmp_path, duration):
+def peak_rss(tmp_path, duration, env):
     path = tmp_path / f"line{duration}.cfg"
     path.write_text(LINE.format(duration=duration))
     run = [sys.executable, "-m", "antjam", "run", "--config", str(path),
            "--seed", "1", "--out", "-"]
-    proc = subprocess.run([sys.executable, "-c", WRAPPER, *run],
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, *run], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     return int(proc.stdout)
 
 
-def test_peak_rss_per_step(tmp_path):
-    growth = peak_rss(tmp_path, LONG) - peak_rss(tmp_path, SHORT)
+def test_peak_rss_per_step(tmp_path, child_env):
+    growth = peak_rss(tmp_path, LONG, child_env) - peak_rss(tmp_path, SHORT, child_env)
     per_step = growth / (LONG - SHORT)
     assert per_step < MAX_BYTES_PER_STEP, f"{per_step:.0f} bytes per step"

@@ -53,7 +53,7 @@ def test_network_copies(sims, when, how):
     assert twin.distance == net.distance
     assert set(twin.links) == set(net.links)
     assert twin._dropped_rows == net._dropped_rows
-    # a copy leaves the kept neighbor rows behind and rebuilds them on read
+    # the neighbor rows travel with the copy
     ids = sorted(net.nodes)
     assert [twin.neighbor_row(i) for i in ids] == [net.neighbor_row(i) for i in ids]
     t = sim.state.time

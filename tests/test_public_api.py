@@ -54,9 +54,10 @@ print(*sorted(loaded - sys.stdlib_module_names - {"antjam", "__mp_main__"}))
 """
 
 
-def test_runtime_loads_only_the_standard_library():
+def test_runtime_loads_only_the_standard_library(child_env):
     proc = subprocess.run(
-        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True,
+        env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

@@ -6,8 +6,8 @@ nodes of infinite range with each other), keeps each node's neighbor row
 (whose minimum is its nearest-live-neighbor distance) and each jammer's
 path-gain row on the network, and memoises the last radio samples and
 deceptive victims there, patching them after a death for the nodes whose
-rows it dropped. None of that may change a result: on generated
-explicit networks the links, distances, adjacency, kept neighbor rows,
+rows it changed. None of that may change a result: on generated
+explicit networks the links, distances, neighbor rows (ids in id order),
 radio samples, jammed flags, deceptive victims and the jammer rng state
 must equal the original pairwise, recompute-everything implementation at
 every step of runs of up to 40 steps, while relays die, random jammers
@@ -60,13 +60,11 @@ def assert_same_links(net, specs):
     links, distance, adjacency = ref.reference_links(nodes)
     assert net.links == links
     assert list(net.distance.items()) == list(distance.items())
-    assert [(i, list(s)) for i, s in net._adjacency.items()] == [
-        (i, list(s)) for i, s in adjacency.items()
-    ]
+    assert_kept_rows(net, distance, adjacency)
 
 
 def assert_kept_rows(net, distance, adjacency):
-    """Each node's kept neighbor row lists its live reference neighbors in
+    """Each node's neighbor row lists its live reference neighbors in
     id order with their reference distances (a dead node's row is empty), and
     its nearest distance is the row's minimum."""
     for i, node in net.nodes.items():
