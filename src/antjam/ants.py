@@ -23,7 +23,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .metrics import LinkTable, TourRecord, geometric_mean
-from .network import Network
+from .network import Network, check_bounds, config_field
 
 
 class Colony(Enum):
@@ -60,33 +60,20 @@ class Ant:
 class SearchParams:
     """Knobs of the route search; defaults suit desk-scale networks."""
 
-    q: float = 1.0  # deposit scale
-    rho: float = 0.5  # pheromone retention per round
-    alpha: float = 1.0  # pheromone-and-quality exponent
-    beta: float = 1.0  # inverse-distance exponent
-    n_explorers: int = 10
-    n_exploiters: int = 10
-    iterations: int = 50
-    phi0: float = 1.0  # initial pheromone on every link
-    psl_delta: float = 0.1  # sensitivity adaptation rate
+    q: float = config_field(1.0, ge=0, lt=math.inf)  # deposit scale
+    rho: float = config_field(0.5, ge=0.0, le=1.0)  # pheromone retention per round
+    alpha: float = config_field(1.0, ge=0, lt=math.inf)  # pheromone-and-quality exponent
+    beta: float = config_field(1.0, ge=0, lt=math.inf)  # inverse-distance exponent
+    n_explorers: int = config_field(10, ge=0)
+    n_exploiters: int = config_field(10, ge=0)
+    iterations: int = config_field(50, ge=1)
+    phi0: float = config_field(1.0, gt=0, lt=math.inf)  # initial pheromone on every link
+    psl_delta: float = config_field(0.1, ge=0.0, lt=1.0)  # sensitivity adaptation rate
 
     def __post_init__(self) -> None:
-        if not 0 <= self.q < math.inf:
-            raise ValueError("q must be finite and >= 0")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
-            raise ValueError("alpha and beta must be finite and >= 0")
-        if self.n_explorers < 0 or self.n_exploiters < 0:
-            raise ValueError("colony sizes must be >= 0")
+        check_bounds(self)
         if self.n_explorers + self.n_exploiters < 1:
             raise ValueError("need at least one ant")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0 < self.phi0 < math.inf:
-            raise ValueError("phi0 must be positive and finite")
-        if not 0.0 <= self.psl_delta < 1.0:
-            raise ValueError("psl_delta must be in [0, 1)")
 
 
 class PheromoneTable(dict):

@@ -5,24 +5,29 @@ Sections: [network], [radio], [metrics], [search], [traffic], [sim],
 Unknown sections and unknown keys are errors; every reported problem names
 the offending key. The full key reference lives in the README.
 
-Every key is declared once, as a `_Key` in a per-section table that both
-`parse_config` and `format_config` walk; each default lives on its dataclass.
+Every key is declared once, on the dataclass field it fills (see
+network.config_field): its default and bounds, and how the document reads
+it. `parse_config` and `format_config` walk the fields in order, and each
+config dataclass checks the same bounds when it is built in code.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from random import Random
+from typing import Any, Mapping
 
 from .ants import SearchParams
 from .jammers import Jammer, JammerKind, RadioParams
 from .metrics import MetricTotals
 from .network import (
     Network,
+    broken_bound,
     build_network,
+    check_bounds,
+    config_field,
     grid_network,
     random_geometric_network,
 )
@@ -42,82 +47,6 @@ class ConfigError(Exception):
     def __init__(self, errors: list[tuple[str, str]]):
         self.errors = errors
         super().__init__("; ".join(f"{key}: {reason}" for key, reason in errors))
-
-
-@dataclass(frozen=True)
-class ExplicitNetworkSpec:
-    nodes: tuple[tuple[float, float, float, float], ...]  # x, y, energy, range
-    pe: int = 0
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class GridNetworkSpec:
-    rows: int
-    cols: int
-    spacing: float
-    radio_range: float
-    energy: float = 1e6
-    pe: int = 0
-
-    @property
-    def node_count(self) -> int:
-        return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class RandomNetworkSpec:
-    count: int
-    radio_range: float
-    width: float = 100.0
-    height: float = 100.0
-    energy: float = 1e6
-    pe: int = 0
-    placement_seed: int | None = None
-    connected: bool = True
-
-    @property
-    def node_count(self) -> int:
-        return self.count
-
-
-NetworkSpec = ExplicitNetworkSpec | GridNetworkSpec | RandomNetworkSpec
-
-
-@dataclass(frozen=True)
-class JammerSpec:
-    kind: str
-    x: float
-    y: float
-    power: float
-    start: int = 0
-    sleep: tuple[int, int] = (1, 1)
-    jam: tuple[int, int] = (1, 1)
-    sense_range: float = math.inf
-
-
-@dataclass
-class ScenarioConfig:
-    network: NetworkSpec
-    jammers: tuple[JammerSpec, ...] = ()
-    radio: RadioParams = field(default_factory=RadioParams)
-    search: SearchParams = field(default_factory=SearchParams)
-    snr_total: float = 10.0
-    total_hops: float | None = None
-    energy_capacity: float | None = None
-    sources: tuple[int, ...] | None = None  # None: lowest non-PE node id
-    rate: float = 1.0
-    duration: int = 100
-    packet_energy_cost: float = 1.0
-    ant_energy_cost: float = 1.0
-    rx_energy_cost: float = 1.0
-    reroute: bool = True
-    restore_routes: bool = False
-    output_format: str = "json"
-    output_path: str | None = None
 
 
 def _boolean(text: str) -> bool:
@@ -194,6 +123,95 @@ def _nodes(text: str) -> tuple[tuple[float, float, float, float], ...]:
     return tuple(quads)
 
 
+@dataclass(frozen=True)
+class ExplicitNetworkSpec:
+    # x, y, energy, range
+    nodes: tuple[tuple[float, float, float, float], ...] = config_field(kind=_nodes)
+    pe: int = config_field(0, ge=0)
+
+    __post_init__ = check_bounds
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
+
+
+@dataclass(frozen=True)
+class GridNetworkSpec:
+    rows: int = config_field(ge=1)
+    cols: int = config_field(ge=1)
+    spacing: float = config_field(gt=0, absent=10.0)
+    radio_range: float = config_field(gt=0, key="range")
+    energy: float = config_field(1e6, gt=0, lt=math.inf)
+    pe: int = config_field(0, ge=0)
+
+    __post_init__ = check_bounds
+
+    @property
+    def node_count(self) -> int:
+        return self.rows * self.cols
+
+
+@dataclass(frozen=True)
+class RandomNetworkSpec:
+    count: int = config_field(ge=2, le=MAX_NODES)
+    radio_range: float = config_field(gt=0, key="range")
+    width: float = config_field(100.0, gt=0, lt=math.inf)
+    height: float = config_field(100.0, gt=0, lt=math.inf)
+    energy: float = config_field(1e6, gt=0, lt=math.inf)
+    pe: int = config_field(0, ge=0)
+    placement_seed: int | None = config_field(None, ge=0)
+    connected: bool = True
+
+    __post_init__ = check_bounds
+
+    @property
+    def node_count(self) -> int:
+        return self.count
+
+
+NetworkSpec = ExplicitNetworkSpec | GridNetworkSpec | RandomNetworkSpec
+
+
+@dataclass(frozen=True)
+class JammerSpec:
+    kind: str = config_field(kind=tuple(k.value for k in JammerKind))
+    x: float
+    y: float
+    power: float = config_field(gt=0, lt=math.inf)
+    start: int = config_field(0, ge=0)
+    sleep: tuple[int, int] = config_field((1, 1), kind=_steps, for_kind="random")
+    jam: tuple[int, int] = config_field((1, 1), kind=_steps, for_kind="random")
+    sense_range: float = config_field(math.inf, gt=0, for_kind="reactive")
+
+    __post_init__ = check_bounds
+
+
+@dataclass
+class ScenarioConfig:
+    network: NetworkSpec
+    jammers: tuple[JammerSpec, ...] = ()
+    radio: RadioParams = field(default_factory=RadioParams)
+    search: SearchParams = field(default_factory=SearchParams)
+    snr_total: float = config_field(10.0, section="metrics", gt=0, lt=math.inf)
+    total_hops: float | None = config_field(None, section="metrics", gt=0, lt=math.inf)
+    energy_capacity: float | None = config_field(None, section="metrics", gt=0, lt=math.inf)
+    # None: lowest non-PE node id
+    sources: tuple[int, ...] | None = config_field(None, section="traffic", kind=_ints)
+    rate: float = config_field(1.0, section="traffic", ge=0, le=MAX_RATE)
+    duration: int = config_field(100, section="traffic", ge=0, le=MAX_DURATION)
+    packet_energy_cost: float = config_field(1.0, section="sim", ge=0)
+    ant_energy_cost: float = config_field(1.0, section="sim", ge=0)
+    rx_energy_cost: float = config_field(1.0, section="sim", ge=0)
+    reroute: bool = config_field(True, section="sim")
+    restore_routes: bool = config_field(False, section="sim")
+    output_format: str = config_field(
+        "json", section="output", key="format", kind=("json", "csv"))
+    output_path: str | None = config_field(None, section="output", key="path", kind=_line)
+
+    __post_init__ = check_bounds
+
+
 # how each structured kind is written back; str() of a float parses back exactly
 _WRITERS = {
     _boolean: lambda v: "on" if v else "off",
@@ -201,8 +219,8 @@ _WRITERS = {
     _ints: lambda v: ", ".join(str(i) for i in v),
     _nodes: lambda v: "; ".join(f"{x!r},{y!r},{e!r},{r!r}" for x, y, e, r in v),
 }
-_BOUNDS = ((">", "gt", operator.gt), (">=", "ge", operator.ge),
-           ("<", "lt", operator.lt), ("<=", "le", operator.le))
+# the kind of a field that declares none, by its annotation's first type
+_ANNOTATED = {"float": float, "int": int, "bool": _boolean}
 
 
 @dataclass(frozen=True)
@@ -211,17 +229,17 @@ class _Key:
     field it fills; a missing or invalid key leaves the field's default."""
 
     name: str
+    attr: str  # the dataclass field
     kind: object  # float, int, a tuple of choices, or a text -> value function
-    required: bool = False
-    gt: float | None = None  # bounds: the value must be > gt, >= ge, < lt, <= le
-    ge: float | None = None
-    lt: float | None = None
-    le: float | None = None
-    target: str | None = None  # the dataclass field, when it is not `name`
+    required: bool
+    meta: Mapping[str, Any]  # the field's metadata, which holds its bounds
 
-    @property
-    def attr(self) -> str:
-        return self.target or self.name
+    @classmethod
+    def of(cls, f: Field) -> _Key:
+        meta = f.metadata
+        kind = meta.get("kind") or _ANNOTATED[f.type.split(" |")[0]]
+        unset = f.default is MISSING and f.default_factory is MISSING
+        return cls(meta.get("key", f.name), f.name, kind, unset and "absent" not in meta, meta)
 
     def convert(self, text: str) -> object:
         """The value of this key's text; raises ValueError naming the problem."""
@@ -238,11 +256,19 @@ class _Key:
         if math.isnan(value):  # "nan" parses as a float but is not a number
             name = "number" if self.kind is float else "integer"
             raise ValueError(f"not a valid {name}: {text!r}")
-        for sign, attr, holds in _BOUNDS:
-            bound = getattr(self, attr)
-            if bound is not None and not holds(value, bound):
-                raise ValueError(f"must be {sign} {bound}, got {text}")
+        reason = broken_bound(self.meta, value)
+        if reason:
+            raise ValueError(f"{reason}, got {text}")
         return value
+
+
+def _keys(cls: type, **only: object) -> tuple[_Key, ...]:
+    """The keys of cls's fields, in field order; with `only`, of just the
+    fields whose metadata holds those values (an absent one reads None)."""
+    return tuple(
+        _Key.of(f) for f in fields(cls)
+        if all(f.metadata.get(name) == want for name, want in only.items())
+    )
 
 
 def _render(keys: tuple[_Key, ...], obj: object) -> list[str]:
@@ -254,80 +280,31 @@ def _render(keys: tuple[_Key, ...], obj: object) -> list[str]:
     ]
 
 
-_RANGE = _Key("range", float, required=True, gt=0, target="radio_range")
-_ENERGY = _Key("energy", float, gt=0, lt=math.inf)
-_PE = _Key("pe", int, ge=0)
-
-# layout -> (spec type, the layout's own keys); `pe` is read after them
+# layout -> (spec type, its keys); `pe` is read after the layout's own keys
 _LAYOUTS: dict[str, tuple[type, tuple[_Key, ...]]] = {
-    "explicit": (ExplicitNetworkSpec, (_Key("nodes", _nodes, required=True),)),
-    "grid": (GridNetworkSpec, (
-        _Key("rows", int, required=True, ge=1), _Key("cols", int, required=True, ge=1),
-        _Key("spacing", float, gt=0),
-        _RANGE,
-        _ENERGY,
-    )),
-    "random": (RandomNetworkSpec, (
-        _Key("count", int, required=True, ge=2, le=MAX_NODES),
-        _RANGE,
-        _Key("width", float, gt=0, lt=math.inf),
-        _Key("height", float, gt=0, lt=math.inf),
-        _ENERGY,
-        _Key("placement_seed", int, ge=0),
-        _Key("connected", _boolean),
-    )),
+    name: (spec, tuple(sorted(_keys(spec), key=lambda key: key.attr == "pe")))
+    for name, spec in (
+        ("explicit", ExplicitNetworkSpec),
+        ("grid", GridNetworkSpec),
+        ("random", RandomNetworkSpec),
+    )
 }
-_LAYOUT = _Key("layout", tuple(_LAYOUTS), required=True)
+_LAYOUT = _Key("layout", "layout", tuple(_LAYOUTS), True, {})
 
-# section -> (dataclass it fills, None for ScenarioConfig's own fields; keys)
+# section -> (dataclass it fills, None for ScenarioConfig's own fields; keys),
+# in the order the sections are read and written
 _SECTIONS: dict[str, tuple[type | None, tuple[_Key, ...]]] = {
-    "radio": (RadioParams, (
-        _Key("floor", float, gt=0), _Key("tx_power", float, gt=0, lt=math.inf),
-        _Key("d0", float, gt=0), _Key("gamma", float, ge=0),
-        _Key("debounce", int, ge=1),
-    )),
-    "metrics": (None, (
-        _Key("snr_total", float, gt=0, lt=math.inf),
-        _Key("total_hops", float, gt=0, lt=math.inf),
-        _Key("energy_capacity", float, gt=0, lt=math.inf),
-    )),
-    "search": (SearchParams, (
-        _Key("q", float, ge=0, lt=math.inf),
-        _Key("rho", float, ge=0.0, le=1.0),
-        _Key("alpha", float, ge=0, lt=math.inf), _Key("beta", float, ge=0, lt=math.inf),
-        _Key("n_explorers", int, ge=0), _Key("n_exploiters", int, ge=0),
-        _Key("iterations", int, ge=1),
-        _Key("phi0", float, gt=0, lt=math.inf),
-        _Key("psl_delta", float, ge=0.0, lt=1.0),
-    )),
-    "traffic": (None, (
-        _Key("sources", _ints),
-        _Key("rate", float, ge=0, le=MAX_RATE),
-        _Key("duration", int, ge=0, le=MAX_DURATION),
-    )),
-    "sim": (None, (
-        _Key("packet_energy_cost", float, ge=0),
-        _Key("ant_energy_cost", float, ge=0),
-        _Key("rx_energy_cost", float, ge=0),
-        _Key("reroute", _boolean), _Key("restore_routes", _boolean),
-    )),
-    "output": (None, (
-        _Key("format", ("json", "csv"), target="output_format"),
-        _Key("path", _line, target="output_path"),
-    )),
+    "radio": (RadioParams, _keys(RadioParams)),
+    "metrics": (None, _keys(ScenarioConfig, section="metrics")),
+    "search": (SearchParams, _keys(SearchParams)),
+    "traffic": (None, _keys(ScenarioConfig, section="traffic")),
+    "sim": (None, _keys(ScenarioConfig, section="sim")),
+    "output": (None, _keys(ScenarioConfig, section="output")),
 }
 
-_JAMMER_KEYS = (
-    _Key("kind", tuple(k.value for k in JammerKind), required=True),
-    _Key("x", float, required=True), _Key("y", float, required=True),
-    _Key("power", float, required=True, gt=0, lt=math.inf),
-    _Key("start", int, ge=0),
-)
-# keys only some jammer kinds take; on any other kind they are unknown
-_JAMMER_KIND_KEYS: dict[str, tuple[_Key, ...]] = {
-    "random": (_Key("sleep", _steps), _Key("jam", _steps)),
-    "reactive": (_Key("sense_range", float, gt=0),),
-}
+_JAMMER_KEYS = _keys(JammerSpec, for_kind=None)
+# keys only one jammer kind takes; on any other kind they are unknown
+_JAMMER_KIND_KEYS = {kind.value: _keys(JammerSpec, for_kind=kind.value) for kind in JammerKind}
 
 
 class _Section:
@@ -349,6 +326,8 @@ class _Section:
         """The valid values among keys, by dataclass field, in table order."""
         values = {}
         for key in keys:
+            if "absent" in key.meta:  # a default its field cannot hold
+                values[key.attr] = key.meta["absent"]
             text = self.raw.pop(key.name, None)
             if text is None:
                 if key.required:
@@ -367,11 +346,10 @@ def _parse_network(sec: _Section) -> NetworkSpec | None:
     spec = None
     if layout is not None:
         spec_type, keys = _LAYOUTS[layout]
-        values = sec.read(keys)
+        values = sec.read(keys[:-1])
         ok = all(key.attr in values for key in keys if key.required)
         if ok and layout == "grid":
-            rows, cols = values["rows"], values["cols"]
-            spacing = values.setdefault("spacing", 10.0)
+            rows, cols, spacing = values["rows"], values["cols"], values["spacing"]
             if rows * cols < 2:
                 sec.error("rows", "grid needs at least two nodes")
                 ok = False
@@ -381,7 +359,7 @@ def _parse_network(sec: _Section) -> NetworkSpec | None:
             elif not math.isfinite(spacing * (max(rows, cols) - 1)):
                 sec.error("spacing", f"grid coordinates must be finite, got {spacing!r}")
                 ok = False
-        pe = sec.read((_PE,)).get("pe", 0)
+        pe = sec.read(keys[-1:]).get("pe", 0)
         if ok:
             spec = spec_type(**values)
             if pe >= spec.node_count:
@@ -470,7 +448,7 @@ def format_config(cfg: ScenarioConfig) -> str:
     net = cfg.network
     layout = next(name for name, (t, _) in _LAYOUTS.items() if isinstance(net, t))
     lines = ["[network]", f"layout = {layout}"]
-    lines += _render(_LAYOUTS[layout][1] + (_PE,), net)
+    lines += _render(_LAYOUTS[layout][1], net)
     for name, (section_type, keys) in _SECTIONS.items():
         obj = cfg if section_type is None else getattr(cfg, name)
         lines += ["", f"[{name}]", *_render(keys, obj)]

@@ -22,7 +22,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .network import Network, Position, euclidean_distance
+from .network import Network, Position, check_bounds, config_field, euclidean_distance
 
 _T = TypeVar("_T")
 
@@ -38,23 +38,13 @@ class JammerKind(Enum):
 class RadioParams:
     """Channel constants shared by every node and jammer in a scenario."""
 
-    floor: float = 1e-9  # ambient noise power, always present
-    tx_power: float = 0.1  # node transmit power
-    d0: float = 1.0  # path-gain reference distance
-    gamma: float = 2.0  # path-loss exponent
-    debounce: int = 1  # consecutive jammed steps before a node is flagged
+    floor: float = config_field(1e-9, gt=0)  # ambient noise power, always present
+    tx_power: float = config_field(0.1, gt=0, lt=math.inf)  # node transmit power
+    d0: float = config_field(1.0, gt=0)  # path-gain reference distance
+    gamma: float = config_field(2.0, ge=0)  # path-loss exponent
+    debounce: int = config_field(1, ge=1)  # consecutive jammed steps before a node is flagged
 
-    def __post_init__(self) -> None:
-        if not self.floor > 0:
-            raise ValueError("noise floor must be positive")
-        if not 0 < self.tx_power < math.inf:
-            raise ValueError("tx_power must be positive and finite")
-        if not self.d0 > 0:
-            raise ValueError("d0 must be positive")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be >= 0")
-        if self.debounce < 1:
-            raise ValueError("debounce must be >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

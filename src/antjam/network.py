@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from random import Random
-from typing import Hashable, Iterable, KeysView, Mapping, Sequence
+from typing import Any, Hashable, Iterable, KeysView, Mapping, Sequence
 
 Position = tuple[float, float]
 
@@ -23,6 +24,40 @@ MAX_LINKS = 2_000_000
 # 200 attempts up to 5,000 nodes, shrinking to 10 at 100,000.
 MAX_PLACEMENT_TRIES = 200
 MAX_PLACEMENT_DRAWS = 1_000_000
+
+
+# (sign, metadata name, test) of each bound a config field may declare
+BOUNDS = ((">", "gt", operator.gt), (">=", "ge", operator.ge),
+          ("<", "lt", operator.lt), ("<=", "le", operator.le))
+
+
+def config_field(default: Any = MISSING, **metadata: Any) -> Any:
+    """A dataclass field that declares its config key in its metadata: the
+    bounds `gt`, `ge`, `lt` and `le`, and, where the document differs from
+    the field, how config.py reads it (`key`, `kind`, `section`, `for_kind`,
+    and `absent`, the value a document without the key gives, where the
+    field cannot hold that default)."""
+    return field(default=default, metadata=metadata)
+
+
+def broken_bound(metadata: Mapping[str, Any], value: Any) -> str | None:
+    """Why value breaks a bound declared in metadata, as "must be <sign>
+    <bound>" for the first it breaks (NaN breaks them all); None if none."""
+    for sign, name, holds in BOUNDS:
+        bound = metadata.get(name)
+        if bound is not None and not holds(value, bound):
+            return f"must be {sign} {bound}"
+    return None
+
+
+def check_bounds(obj: Any) -> None:
+    """Raise ValueError naming the first field of dataclass obj, unless None,
+    that breaks a bound it declares; a config dataclass's __post_init__."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        reason = value is not None and broken_bound(f.metadata, value)
+        if reason:
+            raise ValueError(f"{f.name} {reason}, got {value}")
 
 
 def euclidean_distance(a: Position, b: Position) -> float:
