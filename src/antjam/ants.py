@@ -56,6 +56,11 @@ class Ant:
             )
 
 
+# Ceiling on the ant tours one search walks: (n_explorers + n_exploiters)
+# * iterations.
+MAX_ANT_TOURS = 1_000_000
+
+
 @dataclass
 class SearchParams:
     """Knobs of the route search; defaults suit desk-scale networks."""
@@ -72,8 +77,12 @@ class SearchParams:
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.n_explorers + self.n_exploiters < 1:
+        ants = self.n_explorers + self.n_exploiters
+        if ants < 1:
             raise ValueError("need at least one ant")
+        if ants * self.iterations > MAX_ANT_TOURS:
+            raise ValueError("(n_explorers + n_exploiters) * iterations must be "
+                             f"<= {MAX_ANT_TOURS}, got {ants * self.iterations}")
 
 
 class PheromoneTable(dict):

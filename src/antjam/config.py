@@ -19,7 +19,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from random import Random
 from typing import Any, Mapping
 
-from .ants import SearchParams
+from .ants import MAX_ANT_TOURS, SearchParams
 from .jammers import Jammer, JammerKind, RadioParams
 from .metrics import MetricTotals
 from .network import (
@@ -34,11 +34,12 @@ from .network import (
 
 
 # Ceilings on the sizes a document may ask for, checked while parsing so that
-# no oversized scenario is ever built.
+# no oversized scenario is ever built, and by the dataclasses when built in
+# code. MAX_ANT_TOURS, on (n_explorers + n_exploiters) * iterations, lives
+# with SearchParams in ants.py.
 MAX_NODES = 100_000  # random `count`, grid `rows * cols`, explicit `nodes`
 MAX_DURATION = 1_000_000  # traffic `duration`, in steps
 MAX_RATE = 1_000  # traffic `rate`, in packets per source per step
-MAX_ANT_TOURS = 1_000_000  # (n_explorers + n_exploiters) * iterations
 
 
 class ConfigError(Exception):
@@ -129,7 +130,10 @@ class ExplicitNetworkSpec:
     nodes: tuple[tuple[float, float, float, float], ...] = config_field(kind=_nodes)
     pe: int = config_field(0, ge=0)
 
-    __post_init__ = check_bounds
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        if len(self.nodes) > MAX_NODES:
+            raise ValueError(f"nodes must hold <= {MAX_NODES} entries, got {len(self.nodes)}")
 
     @property
     def node_count(self) -> int:
@@ -145,7 +149,10 @@ class GridNetworkSpec:
     energy: float = config_field(1e6, gt=0, lt=math.inf)
     pe: int = config_field(0, ge=0)
 
-    __post_init__ = check_bounds
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        if self.rows * self.cols > MAX_NODES:
+            raise ValueError(f"rows * cols must be <= {MAX_NODES}, got {self.rows * self.cols}")
 
     @property
     def node_count(self) -> int:

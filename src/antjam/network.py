@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from random import Random
-from typing import Any, Hashable, Iterable, KeysView, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, KeysView, Mapping, Sequence
 
 Position = tuple[float, float]
 
@@ -41,8 +42,13 @@ def config_field(default: Any = MISSING, **metadata: Any) -> Any:
 
 
 def broken_bound(metadata: Mapping[str, Any], value: Any) -> str | None:
-    """Why value breaks a bound declared in metadata, as "must be <sign>
-    <bound>" for the first it breaks (NaN breaks them all); None if none."""
+    """Why value breaks a bound declared in metadata: "must be one of
+    <choices>" outside a `kind` that is a tuple of choices, else "must be
+    <sign> <bound>" for the first bound it breaks (NaN breaks them all);
+    None if none."""
+    choices = metadata.get("kind")
+    if isinstance(choices, tuple) and value not in choices:
+        return f"must be one of {', '.join(choices)}"
     for sign, name, holds in BOUNDS:
         bound = metadata.get(name)
         if bound is not None and not holds(value, bound):
@@ -52,7 +58,8 @@ def broken_bound(metadata: Mapping[str, Any], value: Any) -> str | None:
 
 def check_bounds(obj: Any) -> None:
     """Raise ValueError naming the first field of dataclass obj, unless None,
-    that breaks a bound it declares; a config dataclass's __post_init__."""
+    that breaks a bound or leaves the choices it declares; a config
+    dataclass's __post_init__."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         reason = value is not None and broken_bound(f.metadata, value)
@@ -88,24 +95,26 @@ class Network:
     """Sensor field with symmetric links between mutually in-range nodes.
 
     A link (i, j) exists iff distance(i, j) <= min(range_i, range_j), so link
-    existence is mutual. Each directed link is one key of `distance`, because
-    pheromone and link metrics attach per direction; `links` is a live view of
-    those keys. Dead nodes keep their Node record but lose every incident
-    link, which removes them from all neighborhoods.
+    existence is mutual. Dead nodes keep their Node record but lose every
+    incident link, which removes them from all neighborhoods.
 
     Each node's neighbor row holds its live neighbor ids in ascending order,
-    and their distances in the same order; a death takes the dead node out
-    of its neighbors' rows and empties its own. The ant search builds its
-    candidate rows from it, and the nearest-neighbor distance is its minimum.
-    `_dropped_rows` records, in order and never shortened, the nodes whose
-    rows a death changes: the dead node and its neighbors at the time.
+    and their distances in the same order; the rows are the network's only
+    store of links. A death takes the dead node out of its neighbors' rows
+    and empties its own. The ant search builds its candidate rows from them,
+    and the nearest-neighbor distance is a row's minimum. `distance` is a
+    read-only view of the rows keyed per directed link, because pheromone
+    and link metrics attach per direction, and `links` is a view of its
+    keys. `_dropped_rows` records, in order and never shortened, the nodes
+    whose rows a death changes: the dead node and its neighbors at the time.
     jammers.py keeps its radio caches in one store, `_radio_memo`: the
     path-gain row of each jammer position, and the last hearing set,
     picture and deceptive victims, keyed in part on the link count, which
     stands for the link set since links are only ever removed. Each of the
     last three notes the record's length when it is made, so a death
     patches it for the nodes recorded since instead of rebuilding it. A
-    pickled or copied network carries that store and the record.
+    pickled or copied network carries the rows with their view, that store
+    and the record.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -119,8 +128,8 @@ class Network:
         if pe_id not in self.nodes:
             raise ValueError(f"unknown processing element id {pe_id}")
         self.pe_id = pe_id
-        self.distance: dict[tuple[int, int], float] = {}
         self._rows: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+        self.distance = LinkDistances(self._rows)
         self._dropped_rows: list[int] = []
         self._radio_memo: dict[Hashable, tuple[tuple, int, object]] = {}
         self._build_links()
@@ -134,6 +143,7 @@ class Network:
         bounds that work. Coincident nodes share a cell, so the first pair
         found at distance 0 is the smallest such pair overall. Each node's
         row comes out sorted: lower neighbors first, then higher, each ascending.
+        The rows are filled into `_rows` in place, which `distance` reads.
         """
         ids = sorted(self.nodes)
         position = {i: n.position for i, n in self.nodes.items()}
@@ -144,7 +154,7 @@ class Network:
         members: dict[int, list[int]] = {}
         for i in ids:
             members.setdefault(cell_of[i], []).append(i)
-        distance = self.distance
+        count = 0
         found: dict[int, tuple[list[int], list[float]]] = {i: ([], []) for i in ids}
         for a in ids:
             pa, ra, (linked, linked_at) = position[a], reach[a], found[a]
@@ -159,17 +169,18 @@ class Network:
                 rb = reach[b]
                 # a compare, not min(): this runs for every nearby pair
                 if d <= (ra if ra < rb else rb):
-                    if len(distance) + 2 > MAX_LINKS:
+                    count += 2
+                    if count > MAX_LINKS:
                         raise ValueError(
                             f"network exceeds {MAX_LINKS} directed links; "
                             "shrink the radio range or the node count"
                         )
-                    distance[(a, b)] = distance[(b, a)] = d
                     linked.append(b)
                     linked_at.append(d)
                     found[b][0].append(a)
                     found[b][1].append(d)
-        self._rows = {i: (tuple(ns), tuple(ds)) for i, (ns, ds) in found.items()}
+        self._rows.update((i, (tuple(ns), tuple(ds))) for i, (ns, ds) in found.items())
+        self.distance._count = count
 
     @property
     def links(self) -> KeysView[tuple[int, int]]:
@@ -226,11 +237,48 @@ class Network:
         self._rows[i] = ((), ())
         self._dropped_rows.append(i)
         self._dropped_rows.extend(linked)
+        self.distance._count -= 2 * len(linked)
         for j in linked:
-            del self.distance[(i, j)], self.distance[(j, i)]
             ids, dists = self._rows[j]
             k = ids.index(i)
             self._rows[j] = (ids[:k] + ids[k + 1 :], dists[:k] + dists[k + 1 :])
+
+
+class LinkDistances(Mapping[tuple[int, int], float]):
+    """Read-only distance of each directed link (i, j), read from the
+    network's neighbor rows, which it shares and never changes.
+
+    A lookup finds j in i's ascending row by bisection. The length is a count
+    that the link build sets and each death lowers. Iteration goes, for each
+    node a ascending and each higher neighbor b ascending, (a, b) then
+    (b, a): the order in which the link build finds them.
+    """
+
+    __slots__ = ("_rows", "_count")
+
+    def __init__(self, rows: Mapping[int, tuple[tuple[int, ...], tuple[float, ...]]]):
+        self._rows = rows
+        self._count = 0
+
+    def __getitem__(self, link: tuple[int, int]) -> float:
+        try:
+            i, j = link
+            ids, dists = self._rows[i]
+            k = bisect_left(ids, j)
+        except (TypeError, ValueError, KeyError):  # not a link of this network
+            raise KeyError(link) from None
+        if k < len(ids) and ids[k] == j:
+            return dists[k]
+        raise KeyError(link)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for a, (ids, _) in self._rows.items():
+            for b in ids[bisect_right(ids, a):]:
+                yield a, b
+                yield b, a
 
 
 def _cells(nodes: Mapping[int, Node]) -> tuple[dict[int, int], int]:

@@ -4,7 +4,9 @@ Each config key is declared once, on the dataclass field it fills (see
 antjam.network.config_field). The cases here are generated from those
 declarations: a value just outside a bound must make the dataclass refuse
 it when built in code, naming the field, and make `parse_config` report
-the key; a value exactly on an inclusive bound must pass both.
+the key; a value exactly on an inclusive bound must pass both. A field's
+declared choices, and the ceilings that tie fields together, hold in code
+too.
 """
 
 import math
@@ -14,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from antjam.ants import SearchParams
+from antjam.ants import MAX_ANT_TOURS, SearchParams
 from antjam.config import (
+    MAX_NODES,
     _JAMMER_KEYS,
     _JAMMER_KIND_KEYS,
     _LAYOUT,
@@ -29,7 +32,7 @@ from antjam.config import (
     ScenarioConfig,
     parse_config,
 )
-from antjam.jammers import RadioParams
+from antjam.jammers import JammerKind, RadioParams
 from antjam.network import BOUNDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -126,6 +129,53 @@ def test_an_unbounded_rate_is_refused_when_built():
     with pytest.raises(ValueError) as exc:
         replace(cfg, rate=math.inf)
     assert str(exc.value) == "rate must be <= 1000, got inf"
+
+
+# each ceiling that ties fields together: (a function making an instance
+# that reaches n, the ceiling, the message past it)
+CEILINGS = {
+    "grid rows * cols": (
+        lambda n: GridNetworkSpec(100, n // 100, 10.0, 12.0), MAX_NODES,
+        "rows * cols must be <= {ceiling}, got {n}",
+    ),
+    "explicit nodes": (
+        lambda n: ExplicitNetworkSpec(tuple((float(i), 0.0, 1.0, 2.0) for i in range(n))),
+        MAX_NODES, "nodes must hold <= {ceiling} entries, got {n}",
+    ),
+    "ant tours": (
+        lambda n: SearchParams(n_explorers=10, n_exploiters=10, iterations=n // 20),
+        MAX_ANT_TOURS,
+        "(n_explorers + n_exploiters) * iterations must be <= {ceiling}, got {n}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CEILINGS))
+def test_each_ceiling_holds_in_code(name):
+    build, ceiling, message = CEILINGS[name]
+    assert ceiling % 100 == 0  # so each function reaches it exactly
+    build(ceiling)
+    n = ceiling + 100
+    with pytest.raises(ValueError) as exc:
+        build(n)
+    assert str(exc.value) == message.format(ceiling=ceiling, n=n)
+
+
+def test_choices_hold_in_code_and_in_documents():
+    base = CLASSES[JammerSpec][0]
+    for kind in JammerKind:
+        assert replace(base, kind=kind.value).kind == kind.value
+    kind = fields(JammerSpec)[0]
+    kinds = ", ".join(kind.metadata["kind"])
+    with pytest.raises(ValueError) as built:
+        replace(base, kind="sweep")
+    assert str(built.value) == f"kind must be one of {kinds}, got sweep"
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(document(JammerSpec, kind, "sweep"))
+    assert parsed.value.errors == [("jammer.kind", f"must be one of {kinds}; got 'sweep'")]
+    with pytest.raises(ValueError) as built:
+        replace(CLASSES[ScenarioConfig][0], output_format="xml")
+    assert str(built.value) == "output_format must be one of json, csv, got xml"
 
 
 def test_nan_breaks_every_bound():

@@ -2,7 +2,9 @@
 
 The copies are taken right after setup and again once a relay has died, on
 the churn field of test_report_digests.py. A copy must hold the same nodes,
-energy and links, and sample the same radio picture as the original.
+energy and links, and sample the same radio picture as the original. Its
+distance view reads the copy's own neighbor rows, so a death in the copy
+leaves the original's links as they were.
 
 A whole Simulation pickles too: a copy taken after setup or mid-run, run on
 to the end, gives the report bytes of a run that was never pickled.
@@ -61,6 +63,30 @@ def test_network_copies(sims, when, how):
     got = sample_radio(twin, sim.jammers, t, sim.radio, Random(5))
     assert dict(got) == dict(want)
     assert jammed_from_samples(got) == jammed_from_samples(want)
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_death_in_a_copy_leaves_the_original_links(sims, how):
+    net = sims["after setup"].net
+    count, items = len(net.distance), list(net.distance.items())
+    twin = COPIES[how](net)
+    relay = next(i for i in sorted(twin.nodes) if i != twin.pe_id and twin.neighbors(i))
+    lost = 2 * len(twin.neighbors(relay))
+    assert twin.drain_energy(relay, twin.nodes[relay].energy)
+    assert len(twin.distance) == len(twin.links) == count - lost
+    assert [(link, d) for link, d in items if relay not in link] == list(twin.distance.items())
+    assert len(net.distance) == count
+    assert list(net.distance.items()) == items
+
+
+def test_the_distance_view_is_read_only(sims):
+    net = sims["after setup"].net
+    link = next(iter(net.distance))
+    with pytest.raises(TypeError):
+        net.distance[link] = 1.0
+    with pytest.raises(TypeError):
+        del net.distance[link]
+    assert link in net.links
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))

@@ -7,8 +7,9 @@ nodes of infinite range with each other), keeps each node's neighbor row
 path-gain row on the network, and memoises the last radio samples and
 deceptive victims there, patching them after a death for the nodes whose
 rows it changed. None of that may change a result: on generated
-explicit networks the links, distances, neighbor rows (ids in id order),
-radio samples, jammed flags, deceptive victims and the jammer rng state
+explicit networks the links, the distance view (in the build's order,
+without the links of dead nodes), neighbor rows (ids in id order), radio
+samples, jammed flags, deceptive victims and the jammer rng state
 must equal the original pairwise, recompute-everything implementation at
 every step of runs of up to 40 steps, while relays die, random jammers
 change phase, reactive jammers turn on and off, jammer powers and radio
@@ -60,8 +61,21 @@ def assert_same_links(net, specs):
     nodes = {i: Node(i, pos, e, r) for i, (pos, e, r) in enumerate(specs)}
     links, distance, adjacency = ref.reference_links(nodes)
     assert net.links == links
-    assert list(net.distance.items()) == list(distance.items())
+    assert_live_distances(net, distance)
     assert_kept_rows(net, distance, adjacency)
+
+
+def assert_live_distances(net, distance):
+    """The network's distance view holds the reference links whose ends are
+    both alive, in the reference's order, and no link with a dead end."""
+    alive = {i for i, node in net.nodes.items() if node.alive}
+    live = [(link, d) for link, d in distance.items() if alive.issuperset(link)]
+    assert list(net.distance.items()) == live
+    assert len(net.distance) == len(net.links) == len(live)
+    for link in sorted(distance.keys() - dict(live).keys()):
+        assert link not in net.links
+        with pytest.raises(KeyError):
+            net.distance[link]
 
 
 def assert_kept_rows(net, distance, adjacency):
@@ -197,6 +211,7 @@ def test_matches_reference_radio(case):
         for t, (drains, triggered, retune, repower) in enumerate(steps):
             for i, amount in drains:
                 net.drain_energy(i, amount)
+            assert_live_distances(net, distance)
             assert_kept_rows(net, distance, adjacency)
             for a, b, flag in zip(mine, theirs, triggered):
                 a.triggered = b.triggered = flag
