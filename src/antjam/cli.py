@@ -47,13 +47,17 @@ def _load_config(path: str) -> ScenarioConfig:
 
 
 def _worker_count() -> int:
-    """ANTJAM_WORKERS, clamped to [1, CPU count]; 1 when unset."""
+    """ANTJAM_WORKERS, clamped to [1, CPUs this process may use]; 1 when unset."""
     raw = os.environ.get("ANTJAM_WORKERS", "1")
     try:
         count = int(raw, 10)
     except ValueError:
         raise ValueError(f"ANTJAM_WORKERS must be an integer, got {raw!r}")
-    return max(1, min(count, os.cpu_count() or 1))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(count, cpus))
 
 
 def _run_row(config: ScenarioConfig, seed: int) -> RunRow:

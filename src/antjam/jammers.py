@@ -8,9 +8,10 @@ seeded sleep/jam phases. A reactive jammer emits only when it heard channel
 activity on the previous step.
 
 The hearing set, the radio picture and the deceptive victims are kept on the
-network (see _memo). A changed radio value, emission or fake rebuilds one for
-every live node. A death only patches them: the network records the nodes
-whose neighbor rows each death drops, and just those are looked at again.
+network (see _memo), each as a map built by one per-node rule: reference_signal,
+_sample and _fooled. A changed radio value, emission or fake judges every live
+node again. A death only patches them: the network records the nodes whose
+neighbor rows each death drops, and the same rule judges just those again.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ import math
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from random import Random
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .network import Network, Position, check_bounds, config_field, euclidean_distance
 
 _T = TypeVar("_T")
+_V = TypeVar("_V")
+# (power, path-gain row from its position) of each emitting source
+_Rows = list[tuple[float, dict[int, float]]]
 
 
 class JammerKind(Enum):
@@ -162,14 +167,12 @@ def _emissions(
     return tuple(out)
 
 
-def _rows(
-    net: Network, radio: RadioParams, sources: Iterable[tuple[float, Position]]
-) -> list[tuple[float, dict[int, float]]]:
+def _rows(net: Network, radio: RadioParams, sources: Iterable[tuple[float, Position]]) -> _Rows:
     """Each (power, position) with the gain row from that position."""
     return [(power, _gain_row(net, position, radio)) for power, position in sources]
 
 
-def _noise(floor: float, emitting: list[tuple[float, dict[int, float]]], i: int) -> float:
+def _noise(floor: float, emitting: _Rows, i: int) -> float:
     total = floor
     for emitted, row in emitting:
         total += emitted * row[i]
@@ -205,39 +208,52 @@ def _memo(
     net: Network,
     name: Hashable,
     key: tuple,
-    build: Callable[[], _T],
-    patch: Callable[[_T, set[int]], _T] | None = None,
+    nodes: Callable[[], Iterable[int]],
+    rule: Callable[[], Callable[[int], _V | None]],
+    finish: Callable[[dict[int, _V]], _T],
 ) -> _T:
-    """The value kept under `name` on the network if it was built under an
-    equal key; otherwise build(), kept under `key`.
+    """finish({node: verdict}), kept under `name` beside that map: each
+    node's verdict is judge(node), where judge = rule(), and a node judged
+    None is left out.
 
-    A `patch`ed name's key starts with the link count. When only that count
-    differs from the kept key, the value is patch(kept value, the nodes the
-    network recorded since it was kept) instead of build().
+    The key starts with the link count. An equal key returns the kept value
+    and judges nothing. A key that differs only in the link count copies the
+    kept map and judges again just the nodes the network recorded since it
+    was kept (see Network._dropped_rows); any other key judges each node of
+    nodes(). So a rebuild and a patch apply the same per-node rule.
     """
     hit = net._radio_memo.get(name)
     if hit is not None and hit[0] == key:
-        return hit[2]
-    dropped = net._dropped_rows
-    if hit is not None and patch is not None and hit[0][1:] == key[1:]:
-        value = patch(hit[2], set(dropped[hit[1]:]))
+        return hit[3]
+    dropped, judge = net._dropped_rows, rule()
+    if hit is not None and hit[0][1:] == key[1:]:
+        judged, todo = dict(hit[2]), set(dropped[hit[1]:])
     else:
-        value = build()
-    net._radio_memo[name] = (key, len(dropped), value)
+        judged, todo = {}, nodes()
+    for i in todo:
+        verdict = judge(i)
+        if verdict is None:
+            judged.pop(i, None)
+        else:
+            judged[i] = verdict
+    value = finish(judged)
+    net._radio_memo[name] = (key, len(dropped), judged, value)
     return value
 
 
 def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
     """Path gain from `position` to every node. Positions never move, so the
     row is kept per position and keyed only on d0 and gamma."""
-
-    def build() -> dict[int, float]:
-        return {
-            i: path_gain(euclidean_distance(position, n.position), radio.d0, radio.gamma)
-            for i, n in net.nodes.items()
-        }
-
-    return _memo(net, ("gain", position), (radio.d0, radio.gamma), build)
+    name, key = ("gain", position), (radio.d0, radio.gamma)
+    hit = net._radio_memo.get(name)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    row = {
+        i: path_gain(euclidean_distance(position, n.position), radio.d0, radio.gamma)
+        for i, n in net.nodes.items()
+    }
+    net._radio_memo[name] = (key, row)
+    return row
 
 
 def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, dict[int, float]]:
@@ -245,28 +261,14 @@ def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, dict[int, float]]
     in ascending id order.
 
     Signals change only when a link goes or a radio value changes. Links are
-    only ever removed, so the key is the link count and the radio values.
-    When only the link count has moved, the nodes whose rows a death dropped
-    are looked at again: a node that died or lost its last neighbor leaves,
-    and any other gets its signal recomputed in place. No node ever joins,
-    so the order holds.
+    only ever removed, so the key is the link count and the radio values,
+    and a node that left never hears again: the order holds through patches.
     """
     key = (len(net.distance), radio.floor, radio.tx_power, radio.d0, radio.gamma)
-
-    def build() -> dict[int, float]:
-        signals = ((i, reference_signal(net, i, radio)) for i in net.alive_ids())
-        return {i: signal for i, signal in signals if signal is not None}
-
-    def patch(hearing: dict[int, float], nodes: set[int]) -> dict[int, float]:
-        for i in nodes:
-            signal = reference_signal(net, i, radio)
-            if signal is None:
-                hearing.pop(i, None)
-            else:
-                hearing[i] = signal
-        return hearing
-
-    return key, _memo(net, "hearing", key, build, patch)
+    return key, _memo(
+        net, "hearing", key, net.alive_ids,
+        lambda: partial(reference_signal, net, radio=radio), dict,
+    )
 
 
 def _drowned(sample: RadioSample) -> bool:
@@ -280,29 +282,9 @@ class RadioPicture(Mapping[int, RadioSample]):
 
     __slots__ = ("_samples", "flagged")
 
-    def __init__(
-        self, samples: Mapping[int, RadioSample], flagged: frozenset[int] | None = None
-    ):
+    def __init__(self, samples: Mapping[int, RadioSample]):
         self._samples = samples
-        if flagged is None:
-            flagged = frozenset(i for i, s in samples.items() if _drowned(s))
-        self.flagged = flagged
-
-    def _patched(self, hearing: Mapping[int, float], nodes: set[int]) -> RadioPicture:
-        """A new picture where each of `nodes` outside `hearing` leaves and
-        any other takes its signal from `hearing` and keeps its noise, which
-        is the same float under equal emissions; only their flags are worked
-        out again. This picture is left as it is."""
-        samples = dict(self._samples)
-        for i in nodes:
-            signal = hearing.get(i)
-            if signal is None:
-                samples.pop(i, None)
-            else:
-                samples[i] = RadioSample(signal, samples[i].p_noise)
-        return RadioPicture(samples, self.flagged.difference(nodes).union(
-            i for i in nodes if i in samples and _drowned(samples[i])
-        ))
+        self.flagged = frozenset(i for i, s in samples.items() if _drowned(s))
 
     def __getitem__(self, i: int) -> RadioSample:
         return self._samples[i]
@@ -320,6 +302,14 @@ class RadioPicture(Mapping[int, RadioSample]):
 _NO_SAMPLES = RadioPicture({})
 
 
+def _sample(
+    hearing: Mapping[int, float], floor: float, emitting: _Rows, i: int
+) -> RadioSample | None:
+    """Node i's reference signal and noise; None when it hears nobody."""
+    signal = hearing.get(i)
+    return None if signal is None else RadioSample(signal, _noise(floor, emitting, i))
+
+
 def sample_radio(
     net: Network,
     jammers: Iterable[Jammer],
@@ -333,24 +323,17 @@ def sample_radio(
     all when none is. The picture is memoised on the network, keyed on its
     link count, the radio values and this step's (emission, position) pairs:
     an equal key returns the same picture. A key that differs only in the
-    link count gives a patched copy, resampling just the nodes whose rows a
-    death dropped since the kept picture was made (see _hearing).
+    link count gives a new picture, with just the nodes whose rows a death
+    dropped since the kept one was made sampled again (see _memo).
     """
     base, hearing = _hearing(net, radio)
     if not hearing:
         return _NO_SAMPLES
     emissions = _emissions(jammers, t, rng)
-
-    def build() -> RadioPicture:
-        rows = _rows(net, radio, emissions)
-        return RadioPicture({
-            i: RadioSample(signal, _noise(radio.floor, rows, i))
-            for i, signal in hearing.items()
-        })
-
     return _memo(
-        net, "samples", (*base, emissions), build,
-        lambda picture, nodes: picture._patched(hearing, nodes),
+        net, "samples", (*base, emissions), hearing.keys,
+        lambda: partial(_sample, hearing, radio.floor, _rows(net, radio, emissions)),
+        RadioPicture,
     )
 
 
@@ -360,9 +343,13 @@ def jammed_from_samples(samples: RadioPicture) -> frozenset[int]:
     return samples.flagged
 
 
-def _fooled(fakes: list[tuple[float, dict[int, float]]], i: int, signal: float) -> bool:
-    """Whether some fake (power, gain row) reaches node i at `signal` or louder."""
-    return any(power * row[i] >= signal for power, row in fakes)
+def _fooled(hearing: Mapping[int, float], fakes: _Rows, i: int) -> bool | None:
+    """True when some fake (power, gain row) reaches node i at its reference
+    signal or louder; None when none does or the node hears nobody."""
+    signal = hearing.get(i)
+    if signal is not None and any(power * row[i] >= signal for power, row in fakes):
+        return True
+    return None
 
 
 def deceptive_victims(
@@ -386,15 +373,7 @@ def deceptive_victims(
     if not fakes:
         return frozenset()
     base, hearing = _hearing(net, radio)
-
-    def build() -> frozenset[int]:
-        rows = _rows(net, radio, fakes)
-        return frozenset(i for i, signal in hearing.items() if _fooled(rows, i, signal))
-
-    def patch(victims: frozenset[int], nodes: set[int]) -> frozenset[int]:
-        rows = _rows(net, radio, fakes)
-        return victims.difference(nodes).union(
-            i for i in nodes if i in hearing and _fooled(rows, i, hearing[i])
-        )
-
-    return _memo(net, "victims", (*base, fakes), build, patch)
+    return _memo(
+        net, "victims", (*base, fakes), hearing.keys,
+        lambda: partial(_fooled, hearing, _rows(net, radio, fakes)), frozenset,
+    )

@@ -111,10 +111,10 @@ class Network:
     path-gain row of each jammer position, and the last hearing set,
     picture and deceptive victims, keyed in part on the link count, which
     stands for the link set since links are only ever removed. Each of the
-    last three notes the record's length when it is made, so a death
-    patches it for the nodes recorded since instead of rebuilding it. A
-    pickled or copied network carries the rows with their view, that store
-    and the record.
+    last three keeps the per-node map it was made from and the record's
+    length at the time, so after a death its one per-node rule judges just
+    the nodes recorded since. A pickled or copied network carries the rows
+    with their view, that store and the record.
     """
 
     def __init__(self, nodes: Iterable[Node], pe_id: int):
@@ -131,7 +131,7 @@ class Network:
         self._rows: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
         self.distance = LinkDistances(self._rows)
         self._dropped_rows: list[int] = []
-        self._radio_memo: dict[Hashable, tuple[tuple, int, object]] = {}
+        self._radio_memo: dict[Hashable, tuple] = {}
         self._build_links()
 
     def _build_links(self) -> None:

@@ -214,12 +214,19 @@ class TestWorkerCount:
         ],
     )
     def test_clamped_to_cpu_count(self, monkeypatch, raw, cpus, expected):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)  # no mask
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         if raw is None:
             monkeypatch.delenv("ANTJAM_WORKERS", raising=False)
         else:
             monkeypatch.setenv("ANTJAM_WORKERS", raw)
         assert _worker_count() == expected
+
+    def test_clamped_to_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setenv("ANTJAM_WORKERS", "64")
+        assert _worker_count() == 2
 
     def test_non_integer_rejected(self, monkeypatch):
         monkeypatch.setenv("ANTJAM_WORKERS", "many")

@@ -9,13 +9,15 @@ from antjam.config import (
     ExplicitNetworkSpec,
     GridNetworkSpec,
     JammerSpec,
+    RandomNetworkSpec,
     ScenarioConfig,
     parse_config,
 )
 from antjam.engine import Simulation, run_scenario
-from antjam.jammers import RadioParams, RadioPicture
+from antjam.jammers import RadioParams
 from antjam.network import build_network
 from antjam.reporting import report_json_bytes
+from test_radio_equivalence import patched_pictures
 from test_report_digests import CHURN, GRID49
 
 FAST_SEARCH = SearchParams(n_explorers=4, n_exploiters=4, iterations=15)
@@ -605,30 +607,29 @@ class TestPatchedRadio:
         events = sim.step()
         return events + sim.detect_and_reroute() if sim.config.reroute else events
 
-    @pytest.mark.parametrize("reroute", [True, False])
-    def test_a_death_that_changes_a_flag_runs_as_a_rebuild(self, monkeypatch, reroute):
-        cfg = make_config(self.NET, jammers=self.JAM, duration=12, reroute=reroute,
-                          packet_energy_cost=0.0, rx_energy_cost=25.0)
+    def run_kept_and_rebuilt(self, cfg):
+        """Runs cfg with the radio memo kept, and again with it cleared before
+        every step so that every picture is rebuilt; both must give the same
+        events at every step and the same report bytes. Returns the kept
+        run's events and its patched (kept picture, new picture) pairs."""
         rebuilt = Simulation(cfg, seed=1)
         want = []
         for _ in range(cfg.duration):
-            rebuilt.net._radio_memo.clear()  # every step samples from scratch
+            rebuilt.net._radio_memo.clear()
             want.append(self.advance(rebuilt))
-
-        patches = []  # (flags before, flags after) of each patched picture
-        patch = RadioPicture._patched
-
-        def patched(picture, hearing, nodes):
-            new = patch(picture, hearing, nodes)
-            patches.append((picture.flagged, new.flagged))
-            return new
-
-        monkeypatch.setattr(RadioPicture, "_patched", patched)
-        sim = Simulation(cfg, seed=1)
-        assert sim.state.routes[0] == (0, 1, 2)
-        got = [self.advance(sim) for _ in range(cfg.duration)]
+        with patched_pictures() as patches:
+            sim = Simulation(cfg, seed=1)
+            got = [self.advance(sim) for _ in range(cfg.duration)]
         assert got == want
         assert report_json_bytes(sim.report()) == report_json_bytes(rebuilt.report())
+        return got, patches
+
+    @pytest.mark.parametrize("reroute", [True, False])
+    def test_a_death_that_changes_a_flag_runs_as_a_rebuild(self, reroute):
+        cfg = make_config(self.NET, jammers=self.JAM, duration=12, reroute=reroute,
+                          packet_energy_cost=0.0, rx_energy_cost=25.0)
+        assert Simulation(cfg, seed=1).state.routes[0] == (0, 1, 2)
+        got, patches = self.run_kept_and_rebuilt(cfg)
         changes = [
             (e.step, e.kind, e.node) for events in got for e in events
             if e.kind in ("flagged", "cleared", "death")
@@ -637,7 +638,23 @@ class TestPatchedRadio:
             (3, "flagged", 1), (6, "death", 1), (7, "flagged", 3),
             (7, "cleared", 1), (10, "death", 3), (11, "cleared", 3),
         ]
-        assert patches == [({1}, {3}), ({3}, set())]
+        assert [(kept.flagged, new.flagged) for kept, new in patches] == [
+            ({1}, {3}), ({3}, set())
+        ]
+
+    @pytest.mark.parametrize("placement_seed", range(1, 6))
+    def test_a_churn_field_runs_as_a_rebuild(self, placement_seed):
+        """A random field where both jammers' areas drain relays to death and
+        some patched picture flags other nodes than the one it was made from."""
+        network = RandomNetworkSpec(count=180, radio_range=18.0, width=120.0,
+                                    height=120.0, energy=30.0,
+                                    placement_seed=placement_seed)
+        jammers = (JammerSpec(kind="constant", x=70.0, y=60.0, power=0.6),
+                   JammerSpec(kind="deceptive", x=55.0, y=65.0, power=1.0))
+        cfg = make_config(network, jammers=jammers, duration=40, rx_energy_cost=2.0)
+        got, patches = self.run_kept_and_rebuilt(cfg)
+        assert any(e.kind == "death" for events in got for e in events)
+        assert any(kept.flagged != new.flagged for kept, new in patches)
 
 
 class TestDeterminism:

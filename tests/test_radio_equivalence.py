@@ -14,8 +14,9 @@ must equal the original pairwise, recompute-everything implementation at
 every step of runs of up to 40 steps, while relays die, random jammers
 change phase, reactive jammers turn on and off, jammer powers and radio
 values change on the same network, and steps come where no node is
-sampled. The tests at the end pin what a patch recomputes, and that it
-leaves an earlier picture as it was.
+sampled. Derandomized draws hold floors on the share of cases that build
+a link and that patch a picture. The tests at the end pin what a patch
+recomputes, and that it leaves an earlier picture as it was.
 """
 
 import dataclasses
@@ -179,6 +180,24 @@ def radio_cases(draw):
     return specs, jammer_specs, radio, steps, draw(st.integers(0, 2**32 - 1))
 
 
+def replay(steps, net, jammer_lists, radio):
+    """Yields each step of a case after making its changes: the drains on
+    `net`, the triggers and the new power on every list of jammers, and the
+    new radio value on `radio`."""
+    for t, (drains, triggered, retune, repower) in enumerate(steps):
+        for i, amount in drains:
+            net.drain_energy(i, amount)
+        for jammers in jammer_lists:
+            for jammer, flag in zip(jammers, triggered):
+                jammer.triggered = flag
+            if repower is not None:
+                k, power = repower
+                jammers[k].power = power
+        if retune is not None:
+            setattr(radio, *retune)
+        yield t
+
+
 @settings(max_examples=150, deadline=timedelta(seconds=1))
 @given(radio_cases())
 def test_matches_reference_radio(case):
@@ -202,24 +221,10 @@ def test_matches_reference_radio(case):
     mine, theirs = make_jammers(jammer_specs), make_jammers(jammer_specs)
     rng_a, rng_b = Random(seed), Random(seed)
     radio = dataclasses.replace(radio)  # retuned below; keep the drawn case intact
-    # wraps every picture patch, to label the example
-    patching = mock.patch.object(
-        jammers_mod.RadioPicture, "_patched", autospec=True,
-        side_effect=jammers_mod.RadioPicture._patched,
-    )
-    with patching as patched:
-        for t, (drains, triggered, retune, repower) in enumerate(steps):
-            for i, amount in drains:
-                net.drain_energy(i, amount)
+    with patched_pictures() as patches:  # labels the example
+        for t in replay(steps, net, (mine, theirs), radio):
             assert_live_distances(net, distance)
             assert_kept_rows(net, distance, adjacency)
-            for a, b, flag in zip(mine, theirs, triggered):
-                a.triggered = b.triggered = flag
-            if retune is not None:
-                setattr(radio, *retune)
-            if repower is not None:
-                k, power = repower
-                mine[k].power = theirs[k].power = power
             with mock.patch.object(
                 jammers_mod, "jammer_emission", wraps=jammers_mod.jammer_emission
             ) as emission:
@@ -243,7 +248,7 @@ def test_matches_reference_radio(case):
             )
             assert rng_a.getstate() == rng_b.getstate()
     event("death" if net._dropped_rows else "no death")
-    event("patch" if patched.called else "no patch")
+    event("patch" if patches else "no patch")
 
 
 def layout_label(specs):
@@ -254,6 +259,31 @@ def layout_label(specs):
     except ValueError:
         return "coincident"
     return "link" if net.links else "no link"
+
+
+@contextmanager
+def patched_pictures():
+    """Records (kept picture, new picture) for each radio picture a death
+    patches: a miss on the kept picture that judges some nodes without
+    listing every one, as a rebuild does."""
+    patches = []
+    memo = jammers_mod._memo
+
+    def spy(net, name, key, nodes, rule, finish):
+        listed = []
+
+        def listing():
+            listed.append(True)
+            return nodes()
+
+        kept = net._radio_memo.get(name)
+        value = memo(net, name, key, listing, rule, finish)
+        if name == "samples" and kept is not None and kept[3] is not value and not listed:
+            patches.append((kept[3], value))
+        return value
+
+    with mock.patch.object(jammers_mod, "_memo", spy):
+        yield patches
 
 
 def test_most_radio_cases_build_a_link():
@@ -269,6 +299,38 @@ def test_most_radio_cases_build_a_link():
 
     draw()
     assert labels.count("link") >= 0.7 * len(labels), Counter(labels)
+
+
+def patches_a_picture(case):
+    """Whether the package alone, stepped through a case as
+    test_matches_reference_radio steps it, patches a radio picture."""
+    specs, jammer_specs, radio, steps, seed = case
+    try:
+        net = build_network(specs, 0)
+    except ValueError:
+        return False
+    jammers, rng, radio = make_jammers(jammer_specs), Random(seed), dataclasses.replace(radio)
+    with patched_pictures() as patches:
+        for t in replay(steps, net, [jammers], radio):
+            sample_radio(net, jammers, t, radio, rng)
+            noise_at(net, jammers, t % len(specs), t, radio, rng)
+    return bool(patches)
+
+
+def test_many_radio_cases_patch_a_picture():
+    """The reference comparison reaches the patch a death makes only where a
+    kept picture is patched, so at least 8% of the drawn cases must patch
+    one (28 of these 300 do); the draw is derandomized, so this share is the
+    same on every run."""
+    patched = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(radio_cases())
+    def draw(case):
+        patched.append(patches_a_picture(case))
+
+    draw()
+    assert sum(patched) >= 0.08 * len(patched), Counter(patched)
 
 
 def test_duplicate_error_names_smallest_pair():
@@ -436,10 +498,12 @@ def test_a_death_resamples_only_the_recorded_nodes():
         read_radio(net, jammers, 1, radio)
     signals = [call.args[1] for call in work["reference_signal"].call_args_list]
     assert sorted(signals) == sorted(recorded)
-    assert work["_noise"].call_count == 0  # equal emissions, equal noise
-    assert work["_drowned"].call_count == 8  # the dead node's neighbors
-    fooled = [call.args[1] for call in work["_fooled"].call_args_list]
-    assert sorted(fooled) == sorted(recorded - {12})
+    # the dead node hears nobody, so only its 8 neighbors are sampled again,
+    # and the new picture works out its flags over all its 24 nodes
+    assert work["_noise"].call_count == 8
+    assert work["_drowned"].call_count == 24
+    fooled = [call.args[2] for call in work["_fooled"].call_args_list]
+    assert sorted(fooled) == sorted(recorded)
     assert_radio_matches_reference(net, jammers, 1, radio)
 
     jammers[0].power = 0.6  # a new emission: noise everywhere, signals kept
