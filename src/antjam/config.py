@@ -216,7 +216,13 @@ class ScenarioConfig:
         "json", section="output", key="format", kind=("json", "csv"))
     output_path: str | None = config_field(None, section="output", key="path", kind=_line)
 
-    __post_init__ = check_bounds
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        if self.output_path is not None:
+            try:
+                _line(self.output_path)
+            except ValueError as exc:
+                raise ValueError(f"output_path {exc}") from None
 
 
 # how each structured kind is written back; str() of a float parses back exactly

@@ -8,10 +8,12 @@ seeded sleep/jam phases. A reactive jammer emits only when it heard channel
 activity on the previous step.
 
 The hearing set, the radio picture and the deceptive victims are kept on the
-network (see _memo), each as a map built by one per-node rule: reference_signal,
+network (see _memo), each as a map built by one per-node judge: reference_signal,
 _sample and _fooled. A changed radio value, emission or fake judges every live
 node again. A death only patches them: the network records the nodes whose
-neighbor rows each death drops, and the same rule judges just those again.
+neighbor rows each death drops, and the same judge runs again on just those.
+A jammer's gain to a node is computed where the node is judged, from the
+jammer's position, and noise is summed in jammer order.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .network import Network, Position, check_bounds, config_field, euclidean_di
 
 _T = TypeVar("_T")
 _V = TypeVar("_V")
-# (power, path-gain row from its position) of each emitting source
-_Rows = list[tuple[float, dict[int, float]]]
+# (power, position) of each emitting source, in jammer order
+_Sources = tuple[tuple[float, Position], ...]
 
 
 class JammerKind(Enum):
@@ -104,7 +106,7 @@ class Jammer:
 
 def path_gain(distance: float, d0: float, gamma: float) -> float:
     """Power gain over distance: 1 inside the reference distance, (d0/d)^gamma beyond."""
-    if distance < 0:
+    if not distance >= 0:
         raise ValueError("distance must be >= 0")
     if distance <= d0:
         return 1.0
@@ -152,7 +154,7 @@ def _emissions(
     jammers: Iterable[Jammer],
     t: int,
     rng: Random,
-) -> tuple[tuple[float, Position], ...]:
+) -> _Sources:
     """(emission, position) of every jammer emitting at step t, in jammer order.
 
     Each jammer's emission is evaluated exactly once, so the random kind's
@@ -167,15 +169,11 @@ def _emissions(
     return tuple(out)
 
 
-def _rows(net: Network, radio: RadioParams, sources: Iterable[tuple[float, Position]]) -> _Rows:
-    """Each (power, position) with the gain row from that position."""
-    return [(power, _gain_row(net, position, radio)) for power, position in sources]
-
-
-def _noise(floor: float, emitting: _Rows, i: int) -> float:
-    total = floor
-    for emitted, row in emitting:
-        total += emitted * row[i]
+def _noise(radio: RadioParams, emitting: _Sources, node_position: Position) -> float:
+    """The floor plus each emission times its gain to node_position, in order."""
+    total, d0, gamma = radio.floor, radio.d0, radio.gamma
+    for emitted, position in emitting:
+        total += emitted * path_gain(euclidean_distance(position, node_position), d0, gamma)
     return total
 
 
@@ -188,9 +186,8 @@ def noise_at(
     rng: Random,
 ) -> float:
     """Total noise power at a node: floor plus every jammer's attenuated emission."""
-    net.node(node_id)
-    emissions = _emissions(jammers, t, rng)
-    return _noise(radio.floor, _rows(net, radio, emissions), node_id)
+    node_position = net.node(node_id).position  # raises before any emission
+    return _noise(radio, _emissions(jammers, t, rng), node_position)
 
 
 def reference_signal(net: Network, node_id: int, radio: RadioParams) -> float | None:
@@ -209,23 +206,22 @@ def _memo(
     name: Hashable,
     key: tuple,
     nodes: Callable[[], Iterable[int]],
-    rule: Callable[[], Callable[[int], _V | None]],
+    judge: Callable[[int], _V | None],
     finish: Callable[[dict[int, _V]], _T],
 ) -> _T:
-    """finish({node: verdict}), kept under `name` beside that map: each
-    node's verdict is judge(node), where judge = rule(), and a node judged
-    None is left out.
+    """finish({node: judge(node)}), kept under `name` beside that map; a
+    node judged None is left out.
 
     The key starts with the link count. An equal key returns the kept value
     and judges nothing. A key that differs only in the link count copies the
     kept map and judges again just the nodes the network recorded since it
     was kept (see Network._dropped_rows); any other key judges each node of
-    nodes(). So a rebuild and a patch apply the same per-node rule.
+    nodes(). So a rebuild and a patch apply the same per-node judge.
     """
     hit = net._radio_memo.get(name)
     if hit is not None and hit[0] == key:
         return hit[3]
-    dropped, judge = net._dropped_rows, rule()
+    dropped = net._dropped_rows
     if hit is not None and hit[0][1:] == key[1:]:
         judged, todo = dict(hit[2]), set(dropped[hit[1]:])
     else:
@@ -241,21 +237,6 @@ def _memo(
     return value
 
 
-def _gain_row(net: Network, position: Position, radio: RadioParams) -> dict[int, float]:
-    """Path gain from `position` to every node. Positions never move, so the
-    row is kept per position and keyed only on d0 and gamma."""
-    name, key = ("gain", position), (radio.d0, radio.gamma)
-    hit = net._radio_memo.get(name)
-    if hit is not None and hit[0] == key:
-        return hit[1]
-    row = {
-        i: path_gain(euclidean_distance(position, n.position), radio.d0, radio.gamma)
-        for i, n in net.nodes.items()
-    }
-    net._radio_memo[name] = (key, row)
-    return row
-
-
 def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, dict[int, float]]:
     """(key, {node: reference signal}) of the live nodes that hear a neighbor,
     in ascending id order.
@@ -266,8 +247,7 @@ def _hearing(net: Network, radio: RadioParams) -> tuple[tuple, dict[int, float]]
     """
     key = (len(net.distance), radio.floor, radio.tx_power, radio.d0, radio.gamma)
     return key, _memo(
-        net, "hearing", key, net.alive_ids,
-        lambda: partial(reference_signal, net, radio=radio), dict,
+        net, "hearing", key, net.alive_ids, partial(reference_signal, net, radio=radio), dict,
     )
 
 
@@ -303,11 +283,13 @@ _NO_SAMPLES = RadioPicture({})
 
 
 def _sample(
-    hearing: Mapping[int, float], floor: float, emitting: _Rows, i: int
+    net: Network, hearing: Mapping[int, float], radio: RadioParams, emitting: _Sources, i: int
 ) -> RadioSample | None:
     """Node i's reference signal and noise; None when it hears nobody."""
     signal = hearing.get(i)
-    return None if signal is None else RadioSample(signal, _noise(floor, emitting, i))
+    if signal is None:
+        return None
+    return RadioSample(signal, _noise(radio, emitting, net.nodes[i].position))
 
 
 def sample_radio(
@@ -332,8 +314,7 @@ def sample_radio(
     emissions = _emissions(jammers, t, rng)
     return _memo(
         net, "samples", (*base, emissions), hearing.keys,
-        lambda: partial(_sample, hearing, radio.floor, _rows(net, radio, emissions)),
-        RadioPicture,
+        partial(_sample, net, hearing, radio, emissions), RadioPicture,
     )
 
 
@@ -343,11 +324,16 @@ def jammed_from_samples(samples: RadioPicture) -> frozenset[int]:
     return samples.flagged
 
 
-def _fooled(hearing: Mapping[int, float], fakes: _Rows, i: int) -> bool | None:
-    """True when some fake (power, gain row) reaches node i at its reference
+def _fooled(
+    net: Network, hearing: Mapping[int, float], radio: RadioParams, fakes: _Sources, i: int
+) -> bool | None:
+    """True when some fake (power, position) reaches node i at its reference
     signal or louder; None when none does or the node hears nobody."""
-    signal = hearing.get(i)
-    if signal is not None and any(power * row[i] >= signal for power, row in fakes):
+    signal, node_position = hearing.get(i), net.nodes[i].position
+    if signal is not None and any(
+        power * path_gain(euclidean_distance(position, node_position), radio.d0, radio.gamma)
+        >= signal for power, position in fakes
+    ):
         return True
     return None
 
@@ -375,5 +361,5 @@ def deceptive_victims(
     base, hearing = _hearing(net, radio)
     return _memo(
         net, "victims", (*base, fakes), hearing.keys,
-        lambda: partial(_fooled, hearing, _rows(net, radio, fakes)), frozenset,
+        partial(_fooled, net, hearing, radio, fakes), frozenset,
     )

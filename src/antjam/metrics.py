@@ -21,9 +21,9 @@ _V = TypeVar("_V")
 
 def normalize_metric(actual: float, total: float) -> float:
     """Map a consumed amount against its budget onto [0, 1], 1 meaning untouched."""
-    if total <= 0:
+    if not total > 0:
         raise ValueError("total must be positive")
-    if actual < 0 or actual > total:
+    if not 0 <= actual <= total:
         raise ValueError(f"actual {actual} outside [0, {total}]")
     return (total - actual) / total
 

@@ -107,13 +107,13 @@ class Network:
     and link metrics attach per direction, and `links` is a view of its
     keys. `_dropped_rows` records, in order and never shortened, the nodes
     whose rows a death changes: the dead node and its neighbors at the time.
-    jammers.py keeps its radio caches in one store, `_radio_memo`: the
-    path-gain row of each jammer position, and the last hearing set,
-    picture and deceptive victims, keyed in part on the link count, which
-    stands for the link set since links are only ever removed. Each of the
-    last three keeps the per-node map it was made from and the record's
-    length at the time, so after a death its one per-node rule judges just
-    the nodes recorded since. A pickled or copied network carries the rows
+    jammers.py keeps its radio caches in one store, `_radio_memo`: the last
+    hearing set, picture and deceptive victims, each keyed in part on the
+    link count, which stands for the link set since links are only ever
+    removed, and none growing with the jammer positions seen. Each keeps
+    the per-node map it was made from and the record's length at the time,
+    so after a death its one per-node judge runs again on just the nodes
+    recorded since. A pickled or copied network carries the rows
     with their view, that store and the record.
     """
 
@@ -217,7 +217,7 @@ class Network:
         directions and it stops appearing in any neighborhood. Draining a
         dead node changes nothing.
         """
-        if amount < 0:
+        if not amount >= 0:
             raise ValueError("drain amount must be >= 0")
         node = self.nodes.get(i) or self.node(i)  # node() raises for an unknown id
         if not node.alive:

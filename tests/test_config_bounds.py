@@ -178,6 +178,17 @@ def test_choices_hold_in_code_and_in_documents():
     assert str(built.value) == "output_format must be one of json, csv, got xml"
 
 
+def test_a_path_on_two_lines_is_refused_at_both_entrances():
+    # format_config would write this path as a document parse_config refuses
+    with pytest.raises(ValueError) as built:
+        replace(CLASSES[ScenarioConfig][0], output_path="a\nb")
+    assert str(built.value) == "output_path must be on one line, got 'a\\nb'"
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("[network]\nlayout = grid\nrows = 2\ncols = 2\nrange = 12\n"
+                     "[output]\npath = a\n  b\n")
+    assert parsed.value.errors == [("output.path", "must be on one line, got 'a\\nb'")]
+
+
 def test_nan_breaks_every_bound():
     for cls, f, *_ in (p.values for p in bound_cases()):
         if f.type.startswith("float"):

@@ -8,19 +8,21 @@ energy, and the nodes with a jam streak are exactly the brute-force set of
 nodes whose sampled signal-to-noise ratio is below 1. Over the run each node
 that died has exactly one death event, and the same config and seed replay
 to the same report bytes, also after a `format_config` -> `parse_config`
-round trip. A generated config that lists a source twice runs with each
-source once; the same config with one of its sources (or the default
-source) listed again is refused both by `Simulation` and, after
-`format_config`, by `parse_config`. Driven with
-`detect_and_reroute()` after every first, second or third step instead, no
-route left by a reroute crosses a flagged node.
+round trip. Each example is labelled with `hypothesis.event()` by whether a
+node died, a flag was raised and a reroute changed a route, so
+`--hypothesis-show-statistics` shows how often the generator reaches each. A
+generated config that lists a source twice runs with each source once; the
+same config with one of its sources (or the default source) listed again is
+refused both by `Simulation` and, after `format_config`, by `parse_config`.
+Driven with `detect_and_reroute()` after every first, second or third step
+instead, no route left by a reroute crosses a flagged node.
 """
 
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from antjam.ants import SearchParams
 from antjam.config import (
@@ -152,11 +154,12 @@ def test_step_invariants(cfg, seed):
     assert sim.state.reroutes == 0
     assert all(s.step == -1 for s in sim.state.searches)
     deaths: Counter[int] = Counter()
-    reroutes = 0
+    reroutes = flagged = 0
     for _ in range(cfg.duration):
         before = {i: n.energy for i, n in sim.net.nodes.items()}
         events = sim.step()
         deaths.update(e.node for e in events if e.kind == "death")
+        flagged += sum(e.kind == "flagged" for e in events)
         dead = {i for i, n in sim.net.nodes.items() if not n.alive}
         t, sent, delivered, dropped, in_flight, _flagged = sim.state.trace[-ROW:]
         assert sent == delivered + dropped + in_flight, f"imbalance at step {t}"
@@ -172,6 +175,9 @@ def test_step_invariants(cfg, seed):
     # a node drained by the last reroute's ants dies after the last report
     assert deaths == Counter(dead)
     assert reroutes == sim.report().reroutes
+    event("a node died" if deaths else "no node died")
+    event("a flag was raised" if flagged else "no flag was raised")
+    event("a reroute changed a route" if reroutes else "no reroute changed a route")
     report = report_json_bytes(sim.report())
     assert report == report_json_bytes(run_scenario(cfg, seed))
     assert report == report_json_bytes(

@@ -62,6 +62,10 @@ class TestPathGain:
         gains = [path_gain(d / 4, 1.0, 2.7) for d in range(1, 60)]
         assert all(a >= b for a, b in zip(gains, gains[1:]))
 
+    def test_nan_distance_is_refused(self):
+        with pytest.raises(ValueError, match="^distance must be >= 0$"):
+            path_gain(math.nan, 1.0, 2.0)
+
 
 class TestEmission:
     def test_constant_always_on_after_start(self):
@@ -172,6 +176,16 @@ class TestNoise:
         lone1 = noise_at(net, [js[1]], 0, 0, radio, Random(0)) - radio.floor
         both = noise_at(net, js, 0, 0, radio, Random(0)) - radio.floor
         assert both == pytest.approx(lone0 + lone1, rel=1e-12)
+
+    def test_unknown_node_raises_before_any_emission(self):
+        net = self.net2()
+        j = make_jammer(JammerKind.RANDOM, sleep_steps=(1, 9), jam_steps=(1, 9))
+        rng = Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="^unknown node id 7$"):
+            noise_at(net, [j], 7, 3, RadioParams(), rng)
+        assert rng.getstate() == state  # the random cycle drew nothing
+        assert j._phase is None
 
 
 class TestJammedSet:

@@ -42,6 +42,12 @@ class TestNormalizeMetric:
         with pytest.raises(ValueError):
             normalize_metric(1.1, 1.0)
 
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match=r"^actual nan outside \[0, 10.0\]$"):
+            normalize_metric(math.nan, 10.0)
+        with pytest.raises(ValueError, match="^total must be positive$"):
+            normalize_metric(1.0, math.nan)
+
     @given(
         total=st.floats(min_value=1e-6, max_value=1e9),
         fraction=st.floats(min_value=0.0, max_value=1.0),

@@ -170,8 +170,13 @@ class TestDrainEnergy:
     @pytest.mark.parametrize("amount", [0.0, 0.1, 0.3, 99.9, 100.0, math.inf, math.nan])
     def test_energy_left_is_the_floored_difference(self, energy, amount):
         net = build_network([((0.0, 0.0), energy, 1.0), ((0.5, 0.0), 1.0, 1.0)], 1)
-        want = max(0.0, energy - amount)
-        assert net.drain_energy(0, amount) is (want == 0.0)
+        if math.isnan(amount):  # no amount at all: refused, and the node kept
+            with pytest.raises(ValueError, match="^drain amount must be >= 0$"):
+                net.drain_energy(0, amount)
+            want = energy
+        else:
+            want = max(0.0, energy - amount)
+            assert net.drain_energy(0, amount) is (want == 0.0)
         assert net.nodes[0].energy == want
         assert net.nodes[0].alive is (want != 0.0)
 

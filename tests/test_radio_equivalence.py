@@ -3,20 +3,21 @@
 The package compares each node only with the nodes in its own and the 8
 neighbouring cells of bands no wider than the largest finite range (and
 nodes of infinite range with each other), keeps each node's neighbor row
-(whose minimum is its nearest-live-neighbor distance) and each jammer's
-path-gain row on the network, and memoises the last radio samples and
-deceptive victims there, patching them after a death for the nodes whose
-rows it changed. None of that may change a result: on generated
-explicit networks the links, the distance view (in the build's order,
-without the links of dead nodes), neighbor rows (ids in id order), radio
-samples, jammed flags, deceptive victims and the jammer rng state
-must equal the original pairwise, recompute-everything implementation at
-every step of runs of up to 40 steps, while relays die, random jammers
-change phase, reactive jammers turn on and off, jammer powers and radio
-values change on the same network, and steps come where no node is
-sampled. Derandomized draws hold floors on the share of cases that build
-a link and that patch a picture. The tests at the end pin what a patch
-recomputes, and that it leaves an earlier picture as it was.
+(whose minimum is its nearest-live-neighbor distance) on the network, and
+memoises the last hearing set, radio samples and deceptive victims there,
+patching them after a death for the nodes whose rows it changed. None of
+that may change a result: on generated explicit networks the links, the
+distance view (in the build's order, without the links of dead nodes),
+neighbor rows (ids in id order), radio samples, jammed flags, deceptive
+victims and the jammer rng state must equal the original pairwise,
+recompute-everything implementation at every step of runs of up to 40 steps,
+while relays die, random jammers change phase, reactive jammers turn on and
+off, jammer powers and radio values change on the same network, and steps
+come where no node is sampled. Derandomized draws hold floors on the share
+of cases that build a link and that patch a picture. The tests at the end
+pin what a patch recomputes, that it leaves an earlier picture as it was,
+and that the memo keeps one entry of each kind, however many jammer
+positions it has seen.
 """
 
 import dataclasses
@@ -269,7 +270,7 @@ def patched_pictures():
     patches = []
     memo = jammers_mod._memo
 
-    def spy(net, name, key, nodes, rule, finish):
+    def spy(net, name, key, nodes, judge, finish):
         listed = []
 
         def listing():
@@ -277,7 +278,7 @@ def patched_pictures():
             return nodes()
 
         kept = net._radio_memo.get(name)
-        value = memo(net, name, key, listing, rule, finish)
+        value = memo(net, name, key, listing, judge, finish)
         if name == "samples" and kept is not None and kept[3] is not value and not listed:
             patches.append((kept[3], value))
         return value
@@ -390,11 +391,11 @@ def test_cell_grid_links_match_pairwise(specs):
     assert net.links
 
 
-def test_gain_rows_belong_to_their_network():
+def test_gains_follow_their_network_and_radio_values():
     jammer = [Jammer(JammerKind.CONSTANT, (0.0, 0.0), power=0.05)]
     near = build_network([((1.0, 0.0), 1.0, 2.0), ((2.0, 0.0), 1.0, 2.0)], 0)
     far = build_network([((5.0, 0.0), 1.0, 2.0), ((6.0, 0.0), 1.0, 2.0)], 0)
-    # rows differ per network and per (d0, gamma)
+    # gains differ per network and per (d0, gamma)
     for net, radio in [
         (near, RadioParams()),
         (far, RadioParams()),
@@ -502,7 +503,7 @@ def test_a_death_resamples_only_the_recorded_nodes():
     # and the new picture works out its flags over all its 24 nodes
     assert work["_noise"].call_count == 8
     assert work["_drowned"].call_count == 24
-    fooled = [call.args[2] for call in work["_fooled"].call_args_list]
+    fooled = [call.args[-1] for call in work["_fooled"].call_args_list]
     assert sorted(fooled) == sorted(recorded)
     assert_radio_matches_reference(net, jammers, 1, radio)
 
@@ -563,3 +564,22 @@ def test_two_deaths_around_a_shared_neighbor_match_the_reference():
     assert_radio_matches_reference(net, jammers, 3, radio)
     assert 11 in deceptive_victims(net, jammers, 3, radio)
 
+
+def test_the_radio_memo_does_not_grow_with_jammer_positions():
+    """However many jammer positions a network is sampled under, it keeps
+    one hearing set, one picture and one victim set, and every value still
+    equals the reference's."""
+    net, _ = patch_case()
+    radio = RadioParams()
+    for k in range(60):
+        spot = (k % 7 * 0.7 - 0.5, k // 7 * 0.55 - 0.5)
+        jammers = [
+            Jammer(JammerKind.CONSTANT, spot, power=0.15),
+            Jammer(JammerKind.DECEPTIVE, spot[::-1], power=0.3),
+        ]
+        assert_radio_matches_reference(net, jammers, k, radio)
+        i = k % len(net.nodes)
+        assert noise_at(net, jammers, i, k, radio, Random(0)) == ref.noise_at(
+            net, jammers, i, k, radio, Random(0)
+        )
+    assert set(net._radio_memo) == {"hearing", "samples", "victims"}
